@@ -12,7 +12,6 @@ from .errors import (
     InvalidPartition,
     NotBipartite,
     NotDegenerate,
-    RankExceedsDim,
     StateTooLarge,
     ToolkitError,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Partition",
     "PointObservable",
     "ProductObservable",
-    "RankExceedsDim",
     "Scheme",
     "SchmidtForm",
     "SqResult",

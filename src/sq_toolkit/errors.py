@@ -25,9 +25,5 @@ class NotDegenerate(ToolkitError):
     """The addressed weight block is not degenerate to working tolerance."""
 
 
-class RankExceedsDim(ToolkitError):
-    """A decomposition claims more terms than a factor dimension allows."""
-
-
 class StateTooLarge(ToolkitError):
     """The requested joint space exceeds the supported size cap."""

@@ -39,7 +39,8 @@ class StateVector:
         Dimension of each tensor factor, all >= 1.
     amplitudes:
         Complex vector of length ``prod(factor_dims)`` with unit norm
-        (within 1e-12), flat row-major over the factor indices.
+        (within 1e-12), flat row-major over the factor indices. The stored
+        copy is divided by its norm.
     """
 
     factor_dims: tuple[int, ...]
@@ -57,6 +58,9 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
+        # store the unit vector, so later checks on the squared norm agree
+        if norm != 1.0:
+            amps /= norm
         amps.setflags(write=False)
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -226,8 +230,9 @@ def schmidt(state: StateVector) -> SchmidtForm:
     """Normal form of a bipartite state via SVD of its coefficient matrix.
 
     Raises NotBipartite unless the state has exactly two factors. Weights
-    below ``WEIGHT_CUTOFF`` are dropped; reconstruction of the result agrees
-    with the input to ``RECONSTRUCTION_ATOL``.
+    below ``WEIGHT_CUTOFF`` are dropped and the kept ones rescaled to sum
+    to 1; reconstruction of the result agrees with the input to
+    ``RECONSTRUCTION_ATOL`` when no weight was dropped.
     """
     if state.num_factors != 2:
         raise NotBipartite(f"state has {state.num_factors} factors, need 2")
@@ -240,7 +245,7 @@ def schmidt(state: StateVector) -> SchmidtForm:
         keep[0] = True
     return SchmidtForm(
         factor_dims=(d1, d2),
-        weights=w[keep],
+        weights=w[keep] / w[keep].sum(),
         left_basis=u[:, keep],
         # SVD rows of vh are the right vectors; transpose without conjugating
         right_basis=vh[keep].T,

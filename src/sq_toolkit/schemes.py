@@ -18,12 +18,14 @@ WEIGHT_MATCH_ATOL = 1e-12
 
 
 def shannon_entropy(weights) -> float:
-    """-sum w ln w in nats with the 0 ln 0 = 0 convention."""
+    """-sum w ln w in nats with the 0 ln 0 = 0 convention.
+
+    Clamped at 0: a weight that exceeds 1 by roundoff would otherwise give
+    a negative entropy, and -0.0 never reaches a report.
+    """
     w = np.asarray(weights, dtype=float).reshape(-1)
     w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log(w)).sum()) + 0.0  # avoid -0.0 in reports
+    return max(0.0, float(-(w * np.log(w)).sum()))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,12 @@ per-factor unitaries estimates it from above.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log, prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBipartite, NotDegenerate, RankExceedsDim
+from .errors import DimensionMismatch, NotBipartite, NotDegenerate
 from .linalg import (
     UNITARY_ATOL,
     DEGENERACY_ATOL,
@@ -103,8 +101,6 @@ def adapted_pair(form: SchmidtForm, seed=0) -> ProductObservable:
     eigenvalues are consecutive integers so both factors are simple.
     """
     d1, d2 = form.factor_dims
-    if form.rank > min(d1, d2):
-        raise RankExceedsDim(f"rank {form.rank} exceeds min dim {min(d1, d2)}")
     rng = as_rng(seed)
     left = complete_basis(form.left_basis, rng)
     right = complete_basis(form.right_basis, rng)
@@ -129,137 +125,165 @@ def sq_bipartite(state: StateVector) -> SqResult:
     )
 
 
-def _entropy_of(coeff: np.ndarray) -> float:
-    p = (coeff.real**2 + coeff.imag**2).reshape(-1)
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum()) + 0.0  # avoid -0.0 in reports
+def _hermitian_exp(h: np.ndarray, angles: np.ndarray):
+    """Rotations exp(i * angle * H / r) for a stack of Hermitian H.
 
-
-def _rotate_axis(u_dag: np.ndarray, coeff: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(u_dag, coeff, axes=(1, axis)), 0, axis)
-
-
-def _trial_rotations(rng, dim: int, step: float, count: int) -> np.ndarray:
-    """Batch of unitaries exp(-i * step * H) with ||H eigenvalues|| <= 1."""
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-        (count, dim, dim)
-    )
-    h = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    ``h`` is (..., d, d) and ``angles`` is (..., k), broadcast against the
+    stack; r is the spectral radius of each H, so an angle is the largest
+    phase its rotation applies. Returns the (..., k, d, d) rotations and r,
+    which is 0 where H vanishes (the rotations there are the identity).
+    """
     evals, vecs = np.linalg.eigh(h)
-    scale = np.abs(evals).max(axis=1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    phases = np.exp(-1j * step * evals / scale)
-    return np.einsum("tij,tj,tkj->tik", vecs, phases, vecs.conj())
+    radius = np.abs(evals).max(axis=-1)
+    unit = evals / np.where(radius > 0.0, radius, 1.0)[..., None]
+    phases = np.exp(1j * angles[..., :, None] * unit[..., None, :])
+    vecs = vecs[..., None, :, :]
+    return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2), radius
 
 
-def _entropy_gradient(coeff: np.ndarray, axis: int) -> np.ndarray:
-    """Hermitian Gamma such that rotating the axis basis by exp(i eps H)
-    changes the entropy at rate -2 tr(H Gamma); +Gamma is steepest descent."""
-    t = np.moveaxis(coeff, axis, 0)
-    t = t.reshape(t.shape[0], -1)
+def _entropies(t: np.ndarray) -> np.ndarray:
+    """Outcome entropy of each (..., d, rest) coefficient block."""
     p = t.real**2 + t.imag**2
-    logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    m = t @ ((1.0 + logs) * t.conj()).T
-    return (m - m.conj().T) / 2j
+    p = p.reshape(*p.shape[:-2], p.shape[-2] * p.shape[-1])
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
-def _ladder_rotations(direction: np.ndarray, step: float):
-    """Rotations exp(i angle D) for a few angles around ``step``, where D is
-    ``direction`` scaled to unit spectral radius. Applied as basis updates
-    these descend when D points along the entropy gradient. Empty on a flat.
+def _entropy_gradient(t: np.ndarray) -> np.ndarray:
+    """Hermitian Gamma per (..., d, rest) block, the axis being rotated first:
+    rotating that axis's basis by exp(i eps H) changes the entropy at rate
+    -2 tr(H Gamma), so +Gamma is steepest descent."""
+    p = t.real**2 + t.imag**2
+    m = t @ ((1.0 + np.log(np.where(p > 0.0, p, 1.0))) * t.conj()).swapaxes(-1, -2)
+    return (m - m.conj().swapaxes(-1, -2)) / 2j
+
+
+def _in_bases(flat: np.ndarray, bases, dims) -> np.ndarray:
+    """Coefficients of each state of an (R, total) stack in its own product
+    basis; ``bases`` holds one (R, d, d) stack per factor.
+
+    Each factor is brought to the front as an (R, d, rest) block, rotated,
+    and sent to the back, so after the last factor the order is the input's.
     """
-    evals, vecs = np.linalg.eigh(direction)
-    scale = np.abs(evals).max()
-    if not scale > 0.0:
-        return []
-    return [
-        (vecs * np.exp(1j * (mult * step) * evals / scale)) @ vecs.conj().T
-        for mult in ANGLE_LADDER
-    ]
+    rows = flat.shape[0]
+    for d, u in zip(dims, bases):
+        t = u.conj().swapaxes(-1, -2) @ flat.reshape(rows, d, -1)
+        flat = t.swapaxes(1, 2).reshape(rows, -1)
+    return flat
 
 
-def _descend(state_tensor, dims, rng, max_iters, tol):
-    """One restart: greedy coordinate descent over per-factor bases.
+def _lockstep(amplitudes, dims, rngs, max_iters, tol):
+    """All restarts of the greedy coordinate descent over per-factor bases.
 
-    Starts from Haar-random factor bases. Per sweep and factor, gradient
-    proposals (momentum-mixed, several angles, accept the first improving
-    stride) come before random perturbations tried in both senses; every
-    acceptance requires strict decrease. The restart converges once the
-    step sits at its floor and a sweep improves by less than tol.
+    Each restart starts from Haar-random factor bases drawn from its own
+    generator. Per sweep and factor, gradient proposals (momentum-mixed,
+    several angles, the best improving one accepted) come before random
+    perturbations tried in both senses; every acceptance requires strict
+    decrease, ties going to the first candidate. A restart converges once
+    its step sits at the floor and a sweep improves by less than tol.
+
+    The restarts still running descend together: their coefficients are one
+    (A, total) stack, and each attempt scores all candidates of all of them
+    with one batched matmul and one vectorized entropy. Every operation acts
+    on each restart's slice alone, so a restart's path does not depend on
+    which others run beside it. Returns the final (restarts, d, d) bases per
+    factor and the converged flags.
     """
-    bases = [haar_unitary(d, rng) for d in dims]
-    coeff = state_tensor
-    for axis, u in enumerate(bases):
-        coeff = _rotate_axis(u.conj().T, coeff, axis)
-    value = _entropy_of(coeff)
-    step = STEP_INIT
-    momentum = [np.zeros((d, d), dtype=np.complex128) for d in dims]
-    converged = False
-    for _ in range(max_iters):
-        sweep_start = value
-        accepts = 0
-        trials = 0
+    count = len(rngs)
+    starts = [[haar_unitary(d, rng) for d in dims] for rng in rngs]
+    bases = [np.stack(per_axis) for per_axis in zip(*starts)]
+    flat = _in_bases(np.broadcast_to(amplitudes, (count, amplitudes.size)), bases, dims)
+    value = _entropies(flat[:, None, :])
+    step = np.full(count, STEP_INIT)
+    momentum = [np.zeros((count, d, d), dtype=np.complex128) for d in dims]
+    ids = np.arange(count)
+    rngs = list(rngs)
+    final_bases = [np.empty_like(b) for b in bases]
+    converged = np.zeros(count, dtype=bool)
+    # per sweep and rotated factor: real then imaginary parts of the random
+    # trial generators, in the order each restart's generator yields them
+    noise_size = sum(2 * RANDOM_TRIALS * d * d for d in dims if d > 1)
+    ladder = np.array(ANGLE_LADDER)
+    for sweep in range(1, max_iters + 1):
+        active = len(ids)
+        sweep_start = value.copy()
+        accepts = np.zeros(active, dtype=int)
+        trials = np.zeros(active, dtype=int)
+        everyone = np.arange(active)
+        noise = np.stack([rng.standard_normal(noise_size) for rng in rngs])
+        offset = 0
         for axis, d in enumerate(dims):
-            if d == 1:
-                continue
-            random_rots = _trial_rotations(rng, d, step, RANDOM_TRIALS)
-            gradient_open = True
-            for attempt in range(GRADIENT_TRIALS + RANDOM_TRIALS):
-                if attempt < GRADIENT_TRIALS:
+            t = flat.reshape(active, d, -1)
+            if d > 1:
+                size = 2 * RANDOM_TRIALS * d * d
+                g = noise[:, offset:offset + size].reshape(active, 2, RANDOM_TRIALS, d, d)
+                offset += size
+                g = g[:, 0] + 1j * g[:, 1]
+                # each random rotation and its inverse
+                random_rots, _ = _hermitian_exp(
+                    (g + g.conj().swapaxes(-1, -2)) / 2.0,
+                    step[:, None, None] * np.array([-1.0, 1.0]),
+                )
+
+                def attempt(rows, candidates):
+                    """Score the candidates (basis updates) of the given
+                    restarts; accept each one's best if it strictly improves."""
+                    trials[rows] += 1
+                    cand_t = candidates.conj().swapaxes(-1, -2) @ t[rows, None]
+                    values = _entropies(cand_t)
+                    pick = values.argmin(axis=1)
+                    best = values[np.arange(len(rows)), pick]
+                    better = best < value[rows]
+                    won, pick = rows[better], pick[better]
+                    t[won] = cand_t[better, pick]
+                    value[won] = best[better]
+                    bases[axis][won] = bases[axis][won] @ candidates[better, pick]
+                    accepts[won] += 1
+                    return better
+
+                gradient_open = np.ones(active, dtype=bool)
+                for _ in range(GRADIENT_TRIALS):
                     # a rejected gradient attempt would just repeat itself
-                    if not gradient_open:
-                        continue
-                    gamma = _entropy_gradient(coeff, axis)
-                    scale = np.linalg.norm(gamma, 2)
-                    if not scale > 0.0:
-                        continue
-                    momentum[axis] = MOMENTUM * momentum[axis] + gamma / scale
-                    candidates = _ladder_rotations(momentum[axis], step)
-                else:
-                    rot = random_rots[attempt - GRADIENT_TRIALS]
-                    candidates = [rot, rot.conj().T]
-                if not candidates:
-                    continue
-                trials += 1
-                best = None
-                for cand in candidates:
-                    cand_coeff = _rotate_axis(cand.conj().T, coeff, axis)
-                    cand_value = _entropy_of(cand_coeff)
-                    if cand_value < value and (best is None or cand_value < best[0]):
-                        best = (cand_value, cand_coeff, cand)
-                if best is not None:
-                    value, coeff, cand = best
-                    bases[axis] = bases[axis] @ cand
-                    accepts += 1
-                elif attempt < GRADIENT_TRIALS:
-                    momentum[axis][:] = 0.0
-                    gradient_open = False
-        if step <= STEP_FLOOR and sweep_start - value < tol:
-            converged = True
-            break
-        if accepts == 0:
-            step = max(step * STEP_DECAY, STEP_FLOOR)
-            for m in momentum:
-                m[:] = 0.0
-        elif 2 * accepts >= trials:
-            step = min(step / STEP_DECAY, STEP_INIT)
-    return value, bases, converged
-
-
-def _thread_budget() -> int:
-    """Worker count from SQ_TOOLKIT_THREADS; 0 or unset means auto.
-
-    Auto resolves to serial: restarts are GIL-bound small-matrix work, so
-    extra threads only add overhead. An explicit positive value is honored.
-    """
-    raw = os.environ.get("SQ_TOOLKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n > 0 else 1
+                    rows = np.flatnonzero(gradient_open)
+                    gamma = _entropy_gradient(t[rows])
+                    scale = np.abs(np.linalg.eigvalsh(gamma)).max(axis=-1)
+                    steep = scale > 0.0
+                    rows = rows[steep]
+                    momentum[axis][rows] = (
+                        MOMENTUM * momentum[axis][rows]
+                        + gamma[steep] / scale[steep, None, None]
+                    )
+                    candidates, radius = _hermitian_exp(
+                        momentum[axis][rows], step[rows, None] * ladder
+                    )
+                    moving = radius > 0.0
+                    rows = rows[moving]
+                    failed = rows[~attempt(rows, candidates[moving])]
+                    momentum[axis][failed] = 0.0
+                    gradient_open[failed] = False
+                for trial in range(RANDOM_TRIALS):
+                    attempt(everyone, random_rots[:, trial])
+            flat = t.swapaxes(1, 2).reshape(active, -1)
+        done = (step <= STEP_FLOOR) & (sweep_start - value < tol)
+        converged[ids[done]] = True
+        stalled = ~done & (accepts == 0)
+        step[stalled] = np.maximum(step[stalled] * STEP_DECAY, STEP_FLOOR)
+        for m in momentum:
+            m[stalled] = 0.0
+        brisk = ~done & (accepts > 0) & (2 * accepts >= trials)
+        step[brisk] = np.minimum(step[brisk] / STEP_DECAY, STEP_INIT)
+        if sweep == max_iters:
+            done[:] = True
+        if done.any():
+            for final, b in zip(final_bases, bases):
+                final[ids[done]] = b[done]
+            keep = ~done
+            if not keep.any():
+                break
+            ids, flat, value, step = ids[keep], flat[keep], value[keep], step[keep]
+            bases = [b[keep] for b in bases]
+            momentum = [m[keep] for m in momentum]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+    return final_bases, converged
 
 
 def sq_search(
@@ -269,9 +293,11 @@ def sq_search(
     """Upper-bound estimate of sq by randomized coordinate descent.
 
     Works for any factor count. Every restart draws its own stream from
-    (seed, restart index) and all restarts always run, so the result does
-    not depend on scheduling; ties go to the earliest restart. On bipartite
-    states the estimate matches ``sq_bipartite`` to the test tolerances.
+    (seed, restart index), and all restarts run in lockstep without
+    influencing each other, so adding restarts never raises the result.
+    Each restart's value is the entropy of its final weights; ties go to
+    the earliest restart. On bipartite states the estimate matches
+    ``sq_bipartite`` to the test tolerances.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -282,37 +308,24 @@ def sq_search(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     dims = state.factor_dims
-    state_tensor = state.as_tensor()
-
-    def run(idx: int):
-        rng = np.random.default_rng([seed, idx])
-        return _descend(state_tensor, dims, rng, max_iters, tol)
-
-    budget = min(_thread_budget(), restarts)
-    if budget > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(i) for i in range(restarts)]
-
-    value, bases, converged = results[0]
-    for cand in results[1:]:
-        if cand[0] < value:
-            value, bases, converged = cand
-    coeff = state_tensor
-    for axis, u in enumerate(bases):
-        coeff = _rotate_axis(u.conj().T, coeff, axis)
-    weights = np.sort((coeff.real**2 + coeff.imag**2).reshape(-1))[::-1]
+    rngs = [np.random.default_rng([seed, idx]) for idx in range(restarts)]
+    bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters, tol)
+    coeff = _in_bases(
+        np.broadcast_to(state.amplitudes, (restarts, state.dim)), bases, dims
+    )
+    weights = np.sort(coeff.real**2 + coeff.imag**2, axis=1)[:, ::-1]
+    values = [shannon_entropy(w) for w in weights]
+    best = int(np.argmin(values))
     factors = tuple(
-        PointObservable(np.arange(1.0, d + 1.0), u) for d, u in zip(dims, bases)
+        PointObservable(np.arange(1.0, d + 1.0), u[best]) for d, u in zip(dims, bases)
     )
     return SqResult(
-        value=value,
+        value=values[best],
         argmin=ProductObservable(factors),
         method=METHOD_SEARCH,
         restarts_used=restarts,
-        converged=converged,
-        weights=weights,
+        converged=bool(converged[best]),
+        weights=weights[best],
     )
 
 

@@ -1,7 +1,6 @@
 """End-to-end tests for the command line interface."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -206,6 +205,17 @@ def test_scatter_generic_coupling_reports_growth(tmp_path, capsys):
     assert "final=" in capsys.readouterr().out
 
 
+def test_scatter_initial_entropy_is_not_negative(tmp_path, capsys):
+    # the in-state's single Schmidt weight came out as 1 + 4e-16, and the
+    # summary once printed initial=-4.4408920985e-16
+    cfg = write_config(tmp_path, {"coupling": 0.5, "seed": 5, "d1": 3, "d2": 3})
+    assert main(["scatter", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("initial=0 ")
+    values = [float(row.split(",")[1]) for row in captured.out.splitlines()[1:]]
+    assert min(values) >= 0.0
+
+
 def test_scatter_stdout_keeps_summary_on_stderr(tmp_path, capsys):
     cfg = write_config(tmp_path, {"samples": 3, "seed": 1})
     assert main(["scatter", "--config", cfg]) == 0
@@ -327,19 +337,18 @@ def test_module_entry_point(tmp_path):
     assert abs(json.loads(proc.stdout)["value"] - LN2) <= 1e-11
 
 
-def test_threads_env_does_not_change_output(tmp_path):
+def test_subprocess_search_reruns_are_byte_identical(tmp_path):
     cfg = write_config(
         tmp_path,
         {"random_state": {"factor_dims": [3, 3], "seed": 2}, "method": "search",
          "restarts": 4, "seed": 3},
     )
-    runs = {}
-    for threads in ("1", "4"):
+    runs = []
+    for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "sq_toolkit", "sq", "--config", cfg],
             capture_output=True, text=True,
-            env={**os.environ, "SQ_TOOLKIT_THREADS": threads},
         )
         assert proc.returncode == 0
-        runs[threads] = proc.stdout
-    assert runs["1"] == runs["4"]
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]

@@ -27,6 +27,13 @@ def test_state_vector_rejects_unnormalized():
         StateVector((2,), [1.0, 1.0])
 
 
+def test_state_vector_stores_unit_norm():
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 1.0 + 0.9e-12
+    st = StateVector((2, 2), amps)
+    assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-15
+
+
 def test_state_vector_rejects_wrong_length():
     with pytest.raises(ValueError):
         StateVector((2, 2), [1.0, 0.0])
@@ -168,6 +175,16 @@ def test_schmidt_bell_weights():
 def test_schmidt_diagonal_coefficient_matrix():
     form = schmidt(two_weight_state(0.7, 0.3))
     np.testing.assert_allclose(form.weights, [0.7, 0.3], atol=1e-12)
+
+
+def test_schmidt_renormalizes_kept_weights():
+    # eleven weights of 0.9e-12 fall under the cutoff; the kept weight alone
+    # sums to 1 - 9.9e-12, which the normal form once rejected
+    small = 0.9e-12
+    m = np.diag([np.sqrt(1.0 - 11 * small)] + [np.sqrt(small)] * 11)
+    form = schmidt(StateVector((12, 12), m.reshape(-1)))
+    assert form.rank == 1
+    assert abs(form.weights.sum() - 1.0) <= 1e-15
 
 
 def test_schmidt_reconstruction_random_states():

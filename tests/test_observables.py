@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ENTROPY_73, LN2, bell_state, two_weight_state
 from sq_toolkit.errors import DimensionMismatch
-from sq_toolkit.linalg import basis_state, haar_unitary, random_state
+from sq_toolkit.linalg import StateVector, basis_state, haar_unitary, random_state
 from sq_toolkit.observables import (
     PointObservable,
     ProductObservable,
@@ -81,6 +81,17 @@ def test_scheme_weights_match_explicit_inner_products():
             vec = np.kron(obs.factors[0].eigenbasis[:, i], obs.factors[1].eigenbasis[:, j])
             direct.append(abs(vec.conj() @ st.amplitudes) ** 2)
         np.testing.assert_allclose(scheme.weights, direct, atol=1e-12)
+
+
+def test_scheme_of_state_at_norm_tolerance():
+    # StateVector accepts norm 1 + 0.9e-12; the scheme once rejected the
+    # squared norm 1 + 1.8e-12 it induced
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 1.0 + 0.9e-12
+    scheme = measurement_scheme(
+        StateVector((2, 2), amps), ProductObservable.computational((2, 2))
+    )
+    assert abs(scheme.weights.sum() - 1.0) <= 1e-15
 
 
 def test_measurement_entropy_bell_computational():

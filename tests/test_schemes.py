@@ -41,6 +41,12 @@ def test_zero_weights_contribute_nothing():
     assert abs(shannon_entropy([0.5, 0.5, 0.0]) - np.log(2)) <= 1e-15
 
 
+def test_entropy_is_clamped_at_zero():
+    # a weight just above 1 from roundoff once gave -1.1e-15
+    assert shannon_entropy([1.0 + 1e-15]) == 0.0
+    assert str(shannon_entropy([1.0])) == "0.0"
+
+
 def test_scheme_rejects_bad_weights():
     with pytest.raises(ValueError):
         labeled([0.5, 0.6])
