@@ -1,24 +1,25 @@
 """Command line front end.
 
 Subcommands: schmidt, sq, verify, scatter, gas. Each takes --config PATH
-(JSON), --seed N (overrides seeds in the config), --out PATH and --format
-{csv,json}. Reports are data only: JSON for schmidt/sq/verify, delimited
-or JSON trajectories for scatter/gas. Exit codes: 0 success, 1 property
-violation found by verify, 2 config error, 3 domain error.
+(JSON), --seed N (overrides seeds in the config) and --out PATH; scatter
+and gas also take --format {csv,json}. Reports are data only: JSON for
+schmidt/sq/verify, delimited or JSON trajectories for scatter/gas. Exit
+codes: 0 success, 1 property violation found by verify, 2 config error,
+3 domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from math import prod
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ToolkitError
-from .linalg import StateVector, random_state, schmidt
+from .linalg import StateVector, check_dims, random_state, schmidt
 from .scattering import (
     CollisionModel,
     box_energies,
@@ -51,8 +52,8 @@ def state_from_json(obj) -> StateVector:
         isinstance(d, int) and d >= 1 for d in dims
     ):
         raise ConfigError("factor_dims must be a list of positive integers")
+    expected = math.prod(check_dims(dims))
     pairs = obj["amplitudes"]
-    expected = prod(dims)
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ConfigError(f"amplitudes must be a list of {expected} [re, im] pairs")
     try:
@@ -94,10 +95,21 @@ def _int_param(cfg, key, default, minimum) -> int:
     return value
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON int or float that is a finite double (json.loads accepts NaN,
+    Infinity and ints too large for a float)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _float_param(cfg, key, default) -> float:
     value = cfg.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -162,13 +174,7 @@ def _emit(text: str, out) -> None:
             raise ConfigError(f"cannot write {out}: {exc}") from None
 
 
-def _require_json_format(args) -> None:
-    if args.format == "csv":
-        raise ConfigError(f"the {args.command} report has no delimited form; use json")
-
-
 def _cmd_schmidt(args) -> int:
-    _require_json_format(args)
     cfg = _load_config(args.config)
     state = _resolve_state(cfg, args.seed, default_dims=(2, 2))
     form = schmidt(state)
@@ -183,7 +189,6 @@ def _cmd_schmidt(args) -> int:
 
 
 def _cmd_sq(args) -> int:
-    _require_json_format(args)
     cfg = _load_config(args.config)
     state = _resolve_state(cfg, args.seed, default_dims=(2, 2))
     method = cfg.get("method", "closed_form")
@@ -210,7 +215,6 @@ def _cmd_sq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_json_format(args)
     cfg = _load_config(args.config)
     samples = _int_param(cfg, "samples", 200, 1)
     seed = _seed_param(cfg, "seed", args.seed, 1)
@@ -239,9 +243,9 @@ def _energies_param(cfg, key, dim) -> tuple[float, ...]:
     if value is None:
         return box_energies(dim)
     if not isinstance(value, list) or len(value) != dim or not all(
-        isinstance(e, (int, float)) and not isinstance(e, bool) for e in value
+        _is_finite_number(e) for e in value
     ):
-        raise ConfigError(f"{key} must be a list of {dim} numbers")
+        raise ConfigError(f"{key} must be a list of {dim} finite numbers")
     return tuple(float(e) for e in value)
 
 
@@ -266,6 +270,7 @@ def _cmd_scatter(args) -> int:
     cfg = _load_config(args.config)
     d1 = _int_param(cfg, "d1", 4, 1)
     d2 = _int_param(cfg, "d2", 4, 1)
+    check_dims((d1, d2))  # before the energy lists are built
     samples = _int_param(cfg, "samples", 21, 2)
     interaction_seed = _int_param(cfg, "interaction_seed", 0, 0)
     model = CollisionModel(
@@ -295,6 +300,7 @@ def _cmd_gas(args) -> int:
     cfg = _load_config(args.config)
     n = _int_param(cfg, "n", 3, 3)
     d = _int_param(cfg, "d", 2, 1)
+    check_dims((d, d))  # before the energy lists are built
     collisions = _int_param(cfg, "collisions", 10, 0)
     restarts = _int_param(cfg, "restarts", 4, 1)
     interaction_seed = _int_param(cfg, "interaction_seed", 0, 0)
@@ -345,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", metavar="PATH", help="write the report here instead of stdout"
         )
-        p.add_argument("--format", choices=("csv", "json"),
-                       default="csv" if name in ("scatter", "gas") else "json")
+        if name in ("scatter", "gas"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -26,4 +26,5 @@ class NotDegenerate(ToolkitError):
 
 
 class StateTooLarge(ToolkitError):
-    """The requested joint space exceeds the supported size cap."""
+    """The requested state has more factors, or a larger joint space, than
+    the size policy allows."""

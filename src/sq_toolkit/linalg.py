@@ -13,13 +13,44 @@ from math import prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBipartite
+from .errors import DimensionMismatch, NotBipartite, StateTooLarge
 
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 RECONSTRUCTION_ATOL = 1e-10
 WEIGHT_CUTOFF = 1e-12
 DEGENERACY_ATOL = 1e-9
+
+# Size policy for every state the package builds: the joint dimension is
+# capped, and so is the factor count, because a state's tensor view and the
+# gas's pair collisions need one numpy axis per factor (numpy 1.x allows 32).
+SIZE_CAP = 2**20
+MAX_FACTORS = 32
+
+
+def check_dims(factor_dims) -> tuple[int, ...]:
+    """Factor dimensions as a tuple of ints, checked against the size policy.
+
+    Every dimension must be >= 1 (ValueError otherwise). More than
+    ``MAX_FACTORS`` factors, or a joint dimension above ``SIZE_CAP``, raise
+    StateTooLarge. The input is read lazily and the check stops at the
+    first violation, so an iterator of any length is safe to pass.
+    """
+    dims = []
+    total = 1
+    for d in factor_dims:
+        d = int(d)
+        if d < 1:
+            raise ValueError("factor dimensions must be positive integers")
+        dims.append(d)
+        total *= d
+        if len(dims) > MAX_FACTORS:
+            raise StateTooLarge(f"more than {MAX_FACTORS} factors")
+        if total > SIZE_CAP:
+            raise StateTooLarge(f"joint dimension exceeds cap {SIZE_CAP}")
+    if not dims:
+        raise ValueError("factor dimensions must be positive integers")
+    return tuple(dims)
 
 
 def as_rng(seed):
@@ -36,7 +67,8 @@ class StateVector:
     Parameters
     ----------
     factor_dims:
-        Dimension of each tensor factor, all >= 1.
+        Dimension of each tensor factor, all >= 1, within the size policy
+        of ``check_dims``.
     amplitudes:
         Complex vector of length ``prod(factor_dims)`` with unit norm
         (within 1e-12), flat row-major over the factor indices. The stored
@@ -47,16 +79,15 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or min(dims) < 1:
-            raise ValueError("factor dimensions must be positive integers")
+        dims = check_dims(self.factor_dims)
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
         if amps.size != prod(dims):
             raise DimensionMismatch(
                 f"got {amps.size} amplitudes for factor dims {dims}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        # a NaN or infinite amplitude makes the norm non-finite and fails here
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
         # store the unit vector, so later checks on the squared norm agree
         if norm != 1.0:
@@ -80,7 +111,7 @@ class StateVector:
 
 def basis_state(factor_dims, indices) -> StateVector:
     """Product basis vector |j1 ... jn> for the given per-factor indices."""
-    dims = tuple(int(d) for d in factor_dims)
+    dims = check_dims(factor_dims)
     idx = tuple(int(j) for j in indices)
     if len(idx) != len(dims):
         raise DimensionMismatch("one index per factor required")
@@ -91,7 +122,7 @@ def basis_state(factor_dims, indices) -> StateVector:
 
 def random_state(factor_dims, seed) -> StateVector:
     """Haar-random pure state on the joint space."""
-    dims = tuple(int(d) for d in factor_dims)
+    dims = check_dims(factor_dims)
     rng = as_rng(seed)
     z = rng.standard_normal(prod(dims)) + 1j * rng.standard_normal(prod(dims))
     return StateVector(dims, z / np.linalg.norm(z))
@@ -101,20 +132,17 @@ def random_product_state(factor_dims, seed) -> StateVector:
     """Tensor product of independent Haar-random single-particle states."""
     rng = as_rng(seed)
     state = None
-    for d in factor_dims:
-        z = rng.standard_normal(int(d)) + 1j * rng.standard_normal(int(d))
-        factor = StateVector((int(d),), z / np.linalg.norm(z))
+    for d in check_dims(factor_dims):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        factor = StateVector((d,), z / np.linalg.norm(z))
         state = factor if state is None else tensor(state, factor)
-    if state is None:
-        raise ValueError("factor_dims must be nonempty")
     return state
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Joint state of two subsystems, factors of ``a`` first."""
-    return StateVector(
-        a.factor_dims + b.factor_dims, np.kron(a.amplitudes, b.amplitudes)
-    )
+    dims = check_dims(a.factor_dims + b.factor_dims)
+    return StateVector(dims, np.kron(a.amplitudes, b.amplitudes))
 
 
 def haar_unitary(dim, seed) -> np.ndarray:
@@ -150,6 +178,26 @@ def apply_unitary(state: StateVector, u) -> StateVector:
             f"operator shape {u.shape} does not act on dimension {state.dim}"
         )
     return StateVector(state.factor_dims, u @ state.amplitudes)
+
+
+def apply_per_factor(mats, flat: np.ndarray, dims) -> np.ndarray:
+    """Apply ``mats[k]`` to factor k of every state in an (R, total) stack.
+
+    ``flat`` holds R states, each flat row-major over factors of ``dims``.
+    A matrix is (d', d), or (R, d', d) for one per state; None leaves its
+    factor alone. Returns the (R, total') stack, factor k now of dim d'.
+
+    Each factor is brought to the front as an (R, d, rest) block,
+    multiplied, and sent to the back, so after the last factor the order
+    is the input's and no array ever has one axis per factor.
+    """
+    rows = flat.shape[0]
+    for d, m in zip(dims, mats):
+        t = flat.reshape(rows, d, -1)
+        if m is not None:
+            t = m @ t
+        flat = t.swapaxes(1, 2).reshape(rows, -1)
+    return flat
 
 
 def complete_basis(columns, seed) -> np.ndarray:

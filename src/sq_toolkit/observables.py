@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DEGENERACY_ATOL, UNITARY_ATOL, StateVector, as_rng, haar_unitary
+from .linalg import (
+    DEGENERACY_ATOL,
+    UNITARY_ATOL,
+    StateVector,
+    apply_per_factor,
+    as_rng,
+    haar_unitary,
+)
 from .schemes import Scheme, shannon_entropy
 
 COMMUTATOR_ATOL = 1e-9
@@ -159,33 +166,31 @@ def _check_dims(state: StateVector, obs: ProductObservable) -> None:
         )
 
 
-def _outcome_coefficients(state: StateVector, obs: ProductObservable) -> np.ndarray:
-    """State amplitudes in the joint eigenbasis, one axis per factor."""
-    coeff = state.as_tensor()
-    for axis, f in enumerate(obs.factors):
-        coeff = np.moveaxis(
-            np.tensordot(f.eigenbasis.conj().T, coeff, axes=(1, axis)), 0, axis
-        )
-    return coeff
+def _pool_matrix(classes, d):
+    """0/1 matrix summing each outcome class, or None if all are singletons."""
+    if len(classes) == d:
+        return None
+    pool = np.zeros((len(classes), d))
+    for row, members in enumerate(classes):
+        pool[row, members] = 1.0
+    return pool
 
 
 def _pooled_probabilities(state: StateVector, obs: ProductObservable):
     """Outcome probabilities pooled over degenerate eigenvalues.
 
-    Returns (classes per factor, probability tensor with one axis per
-    factor, one entry per outcome class).
+    Returns (classes per factor, state amplitudes in the joint eigenbasis,
+    probabilities with one axis per factor and one entry per outcome class).
     """
-    coeff = _outcome_coefficients(state, obs)
+    dims = state.factor_dims
+    coeff = apply_per_factor(
+        [f.eigenbasis.conj().T for f in obs.factors], state.amplitudes[None], dims
+    )
     probs = coeff.real**2 + coeff.imag**2
     classes = [f.outcome_classes() for f in obs.factors]
-    for axis, cls in enumerate(classes):
-        if len(cls) == probs.shape[axis]:
-            continue
-        pool = np.zeros((len(cls), probs.shape[axis]))
-        for row, members in enumerate(cls):
-            pool[row, members] = 1.0
-        probs = np.moveaxis(np.tensordot(pool, probs, axes=(1, axis)), 0, axis)
-    return classes, probs
+    pools = [_pool_matrix(cls, d) for cls, d in zip(classes, dims)]
+    probs = apply_per_factor(pools, probs, dims)
+    return classes, coeff.reshape(dims), probs.reshape([len(c) for c in classes])
 
 
 def measurement_scheme(state: StateVector, obs: ProductObservable) -> Scheme:
@@ -196,7 +201,7 @@ def measurement_scheme(state: StateVector, obs: ProductObservable) -> Scheme:
     Zero-weight events are kept so the layout is predictable.
     """
     _check_dims(state, obs)
-    classes, probs = _pooled_probabilities(state, obs)
+    classes, _, probs = _pooled_probabilities(state, obs)
     labels = [
         tuple(float(f.eigenvalues[members[0]]) for members in cls)
         for f, cls in zip(obs.factors, classes)
@@ -208,7 +213,7 @@ def measurement_scheme(state: StateVector, obs: ProductObservable) -> Scheme:
 def measurement_entropy(state: StateVector, obs: ProductObservable) -> float:
     """Shannon entropy, in nats, of the measurement scheme."""
     _check_dims(state, obs)
-    _, probs = _pooled_probabilities(state, obs)
+    _, _, probs = _pooled_probabilities(state, obs)
     return shannon_entropy(probs)
 
 
@@ -221,9 +226,9 @@ def induced_mixture(state: StateVector, obs: ProductObservable):
     probability at or below ``MIXTURE_CUTOFF`` are dropped.
     """
     _check_dims(state, obs)
-    classes, probs = _pooled_probabilities(state, obs)
+    classes, coeff, probs = _pooled_probabilities(state, obs)
     simple = obs.is_simple
-    coeff = None if simple else _outcome_coefficients(state, obs)
+    bases = [f.eigenbasis for f in obs.factors]
     out = []
     for joint in itertools.product(*(range(len(c)) for c in classes)):
         p = float(probs[joint])
@@ -238,11 +243,7 @@ def induced_mixture(state: StateVector, obs: ProductObservable):
             block = np.zeros_like(coeff)
             sel = tuple(np.ix_(*(cls[k] for cls, k in zip(classes, joint))))
             block[sel] = coeff[sel]
-            for axis, f in enumerate(obs.factors):
-                block = np.moveaxis(
-                    np.tensordot(f.eigenbasis, block, axes=(1, axis)), 0, axis
-                )
-            comp = block.reshape(-1)
+            comp = apply_per_factor(bases, block.reshape(1, -1), state.factor_dims)[0]
             comp = comp / np.linalg.norm(comp)
         out.append((p, StateVector(state.factor_dims, comp)))
     return out

@@ -15,18 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, StateTooLarge
+from .errors import DimensionMismatch
 from .linalg import (
     WEIGHT_CUTOFF,
     StateVector,
     apply_unitary,
+    check_dims,
     random_product_state,
     tensor,
 )
 from .schemes import shannon_entropy
 from .sq import sq_bipartite, sq_search
-
-SIZE_CAP = 2**20
 
 
 def box_energies(dim: int) -> tuple[float, ...]:
@@ -234,19 +233,19 @@ def gas_run(
         raise ValueError("a gas needs n >= 3 particles")
     if collisions < 0:
         raise ValueError("collisions must be >= 0")
-    if d ** n > SIZE_CAP:
-        raise StateTooLarge(f"d^n = {d ** n} exceeds cap {SIZE_CAP}")
+    # lazily, so a huge n fails the factor cap without building a tuple
+    dims = check_dims(d for _ in range(n))
     if (model.d1, model.d2) != (d, d):
         raise DimensionMismatch(
             f"model acts on dims ({model.d1}, {model.d2}), gas particles have dim {d}"
         )
     rng = np.random.default_rng(seed)
-    state = random_product_state((d,) * n, rng)
+    state = random_product_state(dims, rng)
     amps = np.array(state.as_tensor(), copy=True)
     u = propagator(model)
 
     def estimate(tensor_amps) -> float:
-        flat = StateVector((d,) * n, tensor_amps.reshape(-1))
+        flat = StateVector(dims, tensor_amps.reshape(-1))
         sub_seed = int(rng.integers(0, 2**63))
         return sq_search(flat, restarts=restarts, seed=sub_seed).value
 

@@ -21,6 +21,7 @@ from .linalg import (
     DEGENERACY_ATOL,
     SchmidtForm,
     StateVector,
+    apply_per_factor,
     as_rng,
     complete_basis,
     haar_unitary,
@@ -40,8 +41,7 @@ METHOD_SEARCH = "search"
 # short ladder of angles so narrow valleys are walked in long strides),
 # then random ones that can escape the flats where the gradient is useless.
 # The step shrinks when a whole sweep accepts nothing (too coarse for the
-# current basin) and recovers when most trials accept (too fine, wasting
-# sweeps), so it tracks the distance to the optimum.
+# current basin).
 STEP_INIT = 0.3
 STEP_DECAY = 0.5
 STEP_FLOOR = 1e-8
@@ -157,20 +157,6 @@ def _entropy_gradient(t: np.ndarray) -> np.ndarray:
     return (m - m.conj().swapaxes(-1, -2)) / 2j
 
 
-def _in_bases(flat: np.ndarray, bases, dims) -> np.ndarray:
-    """Coefficients of each state of an (R, total) stack in its own product
-    basis; ``bases`` holds one (R, d, d) stack per factor.
-
-    Each factor is brought to the front as an (R, d, rest) block, rotated,
-    and sent to the back, so after the last factor the order is the input's.
-    """
-    rows = flat.shape[0]
-    for d, u in zip(dims, bases):
-        t = u.conj().swapaxes(-1, -2) @ flat.reshape(rows, d, -1)
-        flat = t.swapaxes(1, 2).reshape(rows, -1)
-    return flat
-
-
 def _lockstep(amplitudes, dims, rngs, max_iters, tol):
     """All restarts of the greedy coordinate descent over per-factor bases.
 
@@ -191,7 +177,10 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
     count = len(rngs)
     starts = [[haar_unitary(d, rng) for d in dims] for rng in rngs]
     bases = [np.stack(per_axis) for per_axis in zip(*starts)]
-    flat = _in_bases(np.broadcast_to(amplitudes, (count, amplitudes.size)), bases, dims)
+    flat = apply_per_factor(
+        [u.conj().swapaxes(-1, -2) for u in bases],
+        np.broadcast_to(amplitudes, (count, amplitudes.size)), dims,
+    )
     value = _entropies(flat[:, None, :])
     step = np.full(count, STEP_INIT)
     momentum = [np.zeros((count, d, d), dtype=np.complex128) for d in dims]
@@ -207,7 +196,6 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
         active = len(ids)
         sweep_start = value.copy()
         accepts = np.zeros(active, dtype=int)
-        trials = np.zeros(active, dtype=int)
         everyone = np.arange(active)
         noise = np.stack([rng.standard_normal(noise_size) for rng in rngs])
         offset = 0
@@ -227,7 +215,6 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
                 def attempt(rows, candidates):
                     """Score the candidates (basis updates) of the given
                     restarts; accept each one's best if it strictly improves."""
-                    trials[rows] += 1
                     cand_t = candidates.conj().swapaxes(-1, -2) @ t[rows, None]
                     values = _entropies(cand_t)
                     pick = values.argmin(axis=1)
@@ -269,8 +256,6 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
         step[stalled] = np.maximum(step[stalled] * STEP_DECAY, STEP_FLOOR)
         for m in momentum:
             m[stalled] = 0.0
-        brisk = ~done & (accepts > 0) & (2 * accepts >= trials)
-        step[brisk] = np.minimum(step[brisk] / STEP_DECAY, STEP_INIT)
         if sweep == max_iters:
             done[:] = True
         if done.any():
@@ -310,8 +295,9 @@ def sq_search(
     dims = state.factor_dims
     rngs = [np.random.default_rng([seed, idx]) for idx in range(restarts)]
     bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters, tol)
-    coeff = _in_bases(
-        np.broadcast_to(state.amplitudes, (restarts, state.dim)), bases, dims
+    coeff = apply_per_factor(
+        [u.conj().swapaxes(-1, -2) for u in bases],
+        np.broadcast_to(state.amplitudes, (restarts, state.dim)), dims,
     )
     weights = np.sort(coeff.real**2 + coeff.imag**2, axis=1)[:, ::-1]
     values = [shannon_entropy(w) for w in weights]

@@ -352,3 +352,65 @@ def test_subprocess_search_reruns_are_byte_identical(tmp_path):
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        '{"coupling": NaN}',
+        '{"duration": Infinity}',
+        '{"coupling": 1e999}',
+        '{"coupling": 1' + "0" * 400 + "}",
+        '{"free_energies_1": [1, 4, NaN, 16]}',
+    ],
+    ids=["nan", "infinity", "overflow", "huge-int", "nan-energy"],
+)
+def test_scatter_rejects_non_finite_numbers(tmp_path, capsys, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(cfg)
+    assert main(["scatter", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_search_rejects_nan_tol(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"method": "search", "tol": NaN, "restarts": 1,'
+        ' "random_state": {"factor_dims": [2, 2], "seed": 0}}'
+    )
+    assert main(["sq", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_inline_nan_state_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"state": {"factor_dims": [2], "amplitudes": [[NaN, 0], [0, 0]]}}'
+    )
+    assert main(["schmidt", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_gas_with_too_many_factors_is_a_domain_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 100, "d": 1, "collisions": 1})
+    assert main(["gas", "--config", cfg]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("schmidt", {"random_state": {"factor_dims": [200000, 200000]}}),
+        ("sq", {"state": {"factor_dims": [200000, 200000], "amplitudes": []}}),
+        ("scatter", {"d1": 10**12}),
+    ],
+)
+def test_oversized_states_are_domain_errors(tmp_path, capsys, command, cfg):
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["schmidt", "sq", "verify"])
+def test_json_only_reports_take_no_format_flag(capsys, command):
+    assert main([command, "--format", "json"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import bell_state, two_weight_state
-from sq_toolkit.errors import DimensionMismatch, NotBipartite
+from sq_toolkit.errors import DimensionMismatch, NotBipartite, StateTooLarge
 from sq_toolkit.linalg import (
+    MAX_FACTORS,
+    SIZE_CAP,
     SchmidtForm,
     StateVector,
+    apply_per_factor,
     apply_unitary,
     basis_state,
     complete_basis,
@@ -250,3 +253,80 @@ def test_schmidt_form_rejects_non_orthonormal_basis():
             left_basis=skew,
             right_basis=form.right_basis,
         )
+
+
+def _kron_reference(mats, flat, dims):
+    """apply_per_factor by brute force: one Kronecker product per state."""
+    rows = flat.shape[0]
+    out = []
+    for r in range(rows):
+        full = np.ones((1, 1))
+        for d, m in zip(dims, mats):
+            if m is None:
+                m = np.eye(d)
+            elif m.ndim == 3:
+                m = m[r]
+            full = np.kron(full, m)
+        out.append(full @ flat[r])
+    return np.array(out)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "dims", [(3,), (2, 3), (2, 1, 3), (2, 3, 2, 2), (1, 1, 4, 1)]
+)
+def test_apply_per_factor_matches_kronecker(dims):
+    rng = np.random.default_rng(sum(dims))
+    rows = 3
+    flat = _complex_normal(rng, (rows, int(np.prod(dims))))
+    # per-state stacks on even factors, one shared matrix on odd ones
+    mats = [
+        _complex_normal(rng, (rows, d, d) if k % 2 == 0 else (d, d))
+        for k, d in enumerate(dims)
+    ]
+    np.testing.assert_allclose(
+        apply_per_factor(mats, flat, dims), _kron_reference(mats, flat, dims),
+        atol=1e-12,
+    )
+
+
+def test_apply_per_factor_none_and_nonsquare():
+    rng = np.random.default_rng(5)
+    dims = (3, 2, 4)
+    flat = rng.random((2, 24))
+    pool = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    mats = [None, rng.random((2, 2, 2)), pool]
+    out = apply_per_factor(mats, flat, dims)
+    assert out.shape == (2, 3 * 2 * 2)
+    np.testing.assert_allclose(out, _kron_reference(mats, flat, dims), atol=1e-12)
+    # all None is the identity, in the input's order
+    np.testing.assert_array_equal(apply_per_factor([None] * 3, flat, dims), flat)
+
+
+def test_state_vector_rejects_non_finite_amplitudes():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            StateVector((2,), bad)
+
+
+def test_size_policy_caps_factor_count():
+    with pytest.raises(StateTooLarge):
+        StateVector((1,) * (MAX_FACTORS + 1), [1.0])
+    with pytest.raises(StateTooLarge):
+        basis_state((1,) * (MAX_FACTORS + 1), (0,) * (MAX_FACTORS + 1))
+    assert StateVector((1,) * MAX_FACTORS, [1.0]).num_factors == MAX_FACTORS
+
+
+def test_size_policy_caps_joint_dimension_before_allocating():
+    # 200000^2 complex amplitudes would need 640 GB
+    for build in (random_state, random_product_state):
+        with pytest.raises(StateTooLarge):
+            build((200000, 200000), 0)
+    with pytest.raises(StateTooLarge):
+        basis_state((SIZE_CAP, 2), (0, 0))
+    big = random_product_state((SIZE_CAP // 2,), 0)
+    with pytest.raises(StateTooLarge):
+        tensor(big, random_product_state((4,), 1))

@@ -231,6 +231,12 @@ def test_gas_size_cap():
         gas_run(21, 2, 1, m, seed=0)
 
 
+def test_gas_factor_cap():
+    # 1^100 = 1 is under the dimension cap, but 100 factors are over theirs
+    with pytest.raises(StateTooLarge):
+        gas_run(100, 1, 1, box_model(d=1), seed=0)
+
+
 def test_pair_entropy_matches_closed_form_for_two_body_cut():
     # after one collision of particles i, j the pair carries all correlation,
     # so its entropy against the rest must be 0 for a fresh product gas
