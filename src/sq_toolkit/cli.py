@@ -223,6 +223,7 @@ def _cmd_verify(args) -> int:
         isinstance(d, int) and d >= 2 for d in dims
     ):
         raise ConfigError("dims must be two integers >= 2")
+    check_dims(dims)  # run_battery's errors are config errors, this one is not
     tolerances = cfg.get("tolerances")
     if tolerances is not None:
         if not isinstance(tolerances, dict):
@@ -270,7 +271,7 @@ def _cmd_scatter(args) -> int:
     cfg = _load_config(args.config)
     d1 = _int_param(cfg, "d1", 4, 1)
     d2 = _int_param(cfg, "d2", 4, 1)
-    check_dims((d1, d2))  # before the energy lists are built
+    CollisionModel.check_size(d1, d2)  # before the energy lists are built
     samples = _int_param(cfg, "samples", 21, 2)
     interaction_seed = _int_param(cfg, "interaction_seed", 0, 0)
     model = CollisionModel(
@@ -300,7 +301,7 @@ def _cmd_gas(args) -> int:
     cfg = _load_config(args.config)
     n = _int_param(cfg, "n", 3, 3)
     d = _int_param(cfg, "d", 2, 1)
-    check_dims((d, d))  # before the energy lists are built
+    CollisionModel.check_size(d, d)  # before the energy lists are built
     collisions = _int_param(cfg, "collisions", 10, 0)
     restarts = _int_param(cfg, "restarts", 4, 1)
     interaction_seed = _int_param(cfg, "interaction_seed", 0, 0)

@@ -14,16 +14,13 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionMismatch, NotBipartite, StateTooLarge
-
-NORM_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
-RECONSTRUCTION_ATOL = 1e-10
-WEIGHT_CUTOFF = 1e-12
-DEGENERACY_ATOL = 1e-9
+from .tolerances import NORM_ATOL, UNITARY_ATOL, WEIGHT_CUTOFF
 
 # Size policy for every state the package builds: the joint dimension is
 # capped, and so is the factor count, because a state's tensor view and the
 # gas's pair collisions need one numpy axis per factor (numpy 1.x allows 32).
+# The same cap bounds the other arrays an input sizes: the search's stack of
+# restarts, a collision operator and a time grid.
 SIZE_CAP = 2**20
 MAX_FACTORS = 32
 
@@ -71,8 +68,8 @@ class StateVector:
         of ``check_dims``.
     amplitudes:
         Complex vector of length ``prod(factor_dims)`` with unit norm
-        (within 1e-12), flat row-major over the factor indices. The stored
-        copy is divided by its norm.
+        (within ``NORM_ATOL``), flat row-major over the factor indices.
+        The stored copy is divided by its norm.
     """
 
     factor_dims: tuple[int, ...]
@@ -162,12 +159,14 @@ def haar_unitary(dim, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _orthonormal_columns(b, atol=UNITARY_ATOL) -> bool:
+    """Whether the columns of the 2-D array ``b`` are orthonormal."""
+    return bool(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= atol)
+
+
 def is_unitary(u, atol=UNITARY_ATOL) -> bool:
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    eye = np.eye(u.shape[0])
-    return bool(np.abs(u.conj().T @ u - eye).max() <= atol)
+    return u.ndim == 2 and u.shape[0] == u.shape[1] and _orthonormal_columns(u, atol)
 
 
 def apply_unitary(state: StateVector, u) -> StateVector:
@@ -251,14 +250,12 @@ class SchmidtForm:
             raise DimensionMismatch("basis shapes do not match weights and dims")
         if w.min() <= 0.0:
             raise ValueError("weights must be positive")
-        if np.any(np.diff(w) > 1e-12):
+        if np.any(np.diff(w) > NORM_ATOL):
             raise ValueError("weights must be sorted in descending order")
         if abs(w.sum() - 1.0) > NORM_ATOL:
             raise ValueError(f"weights sum to {w.sum()}, not 1 within {NORM_ATOL}")
-        for b in (left, right):
-            gram = b.conj().T @ b
-            if np.abs(gram - np.eye(r)).max() > UNITARY_ATOL:
-                raise ValueError("basis columns are not orthonormal")
+        if not (_orthonormal_columns(left) and _orthonormal_columns(right)):
+            raise ValueError("basis columns are not orthonormal")
         for name, arr in (("weights", w), ("left_basis", left), ("right_basis", right)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -278,9 +275,9 @@ def schmidt(state: StateVector) -> SchmidtForm:
     """Normal form of a bipartite state via SVD of its coefficient matrix.
 
     Raises NotBipartite unless the state has exactly two factors. Weights
-    below ``WEIGHT_CUTOFF`` are dropped and the kept ones rescaled to sum
-    to 1; reconstruction of the result agrees with the input to
-    ``RECONSTRUCTION_ATOL`` when no weight was dropped.
+    at or below ``WEIGHT_CUTOFF`` are dropped and the kept ones rescaled
+    to sum to 1; when no weight was dropped, reconstruction of the result
+    agrees with the input up to roundoff.
     """
     if state.num_factors != 2:
         raise NotBipartite(f"state has {state.num_factors} factors, need 2")

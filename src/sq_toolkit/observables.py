@@ -15,19 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (
-    DEGENERACY_ATOL,
-    UNITARY_ATOL,
-    StateVector,
-    apply_per_factor,
-    as_rng,
-    haar_unitary,
-)
+from .linalg import StateVector, apply_per_factor, as_rng, haar_unitary, is_unitary
 from .schemes import Scheme, shannon_entropy
-
-COMMUTATOR_ATOL = 1e-9
-SUBSPACE_ATOL = 1e-9
-MIXTURE_CUTOFF = 1e-12
+from .tolerances import DEGENERACY_ATOL, WEIGHT_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -53,12 +43,14 @@ class PointObservable:
         d = vals.size
         if d < 1:
             raise ValueError("at least one eigenvalue required")
+        # a NaN compares unequal to everything, so outcome classes need finite values
+        if not np.isfinite(vals).all():
+            raise ValueError("eigenvalues must be finite")
         if basis.shape != (d, d):
             raise DimensionMismatch(
                 f"eigenbasis shape {basis.shape} does not match {d} eigenvalues"
             )
-        gram = basis.conj().T @ basis
-        if np.abs(gram - np.eye(d)).max() > UNITARY_ATOL:
+        if not is_unitary(basis):
             raise ValueError("eigenbasis columns are not orthonormal")
         vals.setflags(write=False)
         basis.setflags(write=False)
@@ -72,10 +64,7 @@ class PointObservable:
     @property
     def is_simple(self) -> bool:
         """All eigenvalues pairwise separated by more than DEGENERACY_ATOL."""
-        if self.dim == 1:
-            return True
-        gaps = np.diff(np.sort(self.eigenvalues))
-        return bool(gaps.min() > DEGENERACY_ATOL)
+        return len(self.outcome_classes()) == self.dim
 
     @property
     def matrix(self) -> np.ndarray:
@@ -223,7 +212,7 @@ def induced_mixture(state: StateVector, obs: ProductObservable):
     For a simple observable the components are exactly the joint
     eigenvectors; for degenerate factors they are the normalized
     projections of the state onto the outcome blocks. Outcomes with
-    probability at or below ``MIXTURE_CUTOFF`` are dropped.
+    probability at or below ``WEIGHT_CUTOFF`` are dropped.
     """
     _check_dims(state, obs)
     classes, coeff, probs = _pooled_probabilities(state, obs)
@@ -232,7 +221,7 @@ def induced_mixture(state: StateVector, obs: ProductObservable):
     out = []
     for joint in itertools.product(*(range(len(c)) for c in classes)):
         p = float(probs[joint])
-        if p <= MIXTURE_CUTOFF:
+        if p <= WEIGHT_CUTOFF:
             continue
         if simple:
             comp = None
@@ -253,22 +242,22 @@ def is_finer_op(a: PointObservable, b: PointObservable) -> bool:
     """Whether ``a`` refines ``b``: they commute and every outcome space of
     ``b`` is a union of outcome spaces of ``a``.
 
-    Commutation is checked entrywise to ``COMMUTATOR_ATOL``; subspace
-    containment entrywise on projectors to ``SUBSPACE_ATOL``.
+    Commutation, and subspace containment on projectors, are checked
+    entrywise to ``DEGENERACY_ATOL``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     ma, mb = a.matrix, b.matrix
-    if np.abs(ma @ mb - mb @ ma).max() > COMMUTATOR_ATOL:
+    if np.abs(ma @ mb - mb @ ma).max() > DEGENERACY_ATOL:
         return False
     fine_projectors = [a.projector(cls) for cls in a.outcome_classes()]
     for cls in b.outcome_classes():
         q = b.projector(cls)
         covered = np.zeros_like(q)
         for p in fine_projectors:
-            if np.abs(q @ p - p).max() <= SUBSPACE_ATOL:
+            if np.abs(q @ p - p).max() <= DEGENERACY_ATOL:
                 covered += p
-        if np.abs(covered - q).max() > SUBSPACE_ATOL:
+        if np.abs(covered - q).max() > DEGENERACY_ATOL:
             return False
     return True
 

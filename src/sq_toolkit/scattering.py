@@ -15,17 +15,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, StateTooLarge
 from .linalg import (
-    WEIGHT_CUTOFF,
+    SIZE_CAP,
     StateVector,
     apply_unitary,
     check_dims,
     random_product_state,
+    schmidt,
     tensor,
 )
 from .schemes import shannon_entropy
 from .sq import sq_bipartite, sq_search
+from .tolerances import NORM_ATOL
 
 
 def box_energies(dim: int) -> tuple[float, ...]:
@@ -39,7 +41,9 @@ class CollisionModel:
 
     free_energies_* are the diagonal free Hamiltonians; interaction_seed
     fixes the random Hermitian V (normalized to unit largest |entry|);
-    coupling scales V; duration is the time each collision lasts.
+    coupling scales V; duration is the time each collision lasts. The
+    operators on the pair are dense, so their (d1 * d2)^2 entries are held
+    to the size cap (``check_size``).
     """
 
     d1: int
@@ -51,9 +55,7 @@ class CollisionModel:
     duration: float
 
     def __post_init__(self):
-        d1, d2 = int(self.d1), int(self.d2)
-        if d1 < 1 or d2 < 1:
-            raise ValueError("particle dimensions must be >= 1")
+        d1, d2 = self.check_size(self.d1, self.d2)
         e1 = tuple(float(e) for e in self.free_energies_1)
         e2 = tuple(float(e) for e in self.free_energies_2)
         if len(e1) != d1 or len(e2) != d2:
@@ -65,6 +67,17 @@ class CollisionModel:
         object.__setattr__(self, "coupling", float(self.coupling))
         object.__setattr__(self, "interaction_seed", int(self.interaction_seed))
         object.__setattr__(self, "duration", float(self.duration))
+
+    @staticmethod
+    def check_size(d1, d2) -> tuple[int, int]:
+        """(d1, d2) as ints: each >= 1 (ValueError), and a dense operator on
+        the pair within ``SIZE_CAP`` entries (StateTooLarge)."""
+        d1, d2 = check_dims((d1, d2))
+        if (d1 * d2) ** 2 > SIZE_CAP:
+            raise StateTooLarge(
+                f"collision operator on dims ({d1}, {d2}) exceeds cap {SIZE_CAP}"
+            )
+        return d1, d2
 
     @classmethod
     def box(cls, d1, d2, coupling=0.5, interaction_seed=0, duration=1.0):
@@ -143,7 +156,7 @@ class GasTrajectory:
             raise ValueError("trajectory columns must have equal length")
         if len(times) == 0:
             raise ValueError("a trajectory needs at least one row")
-        if min(est) < -1e-12:
+        if min(est) < -NORM_ATOL:
             raise ValueError("sq estimates must be nonnegative")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sq_estimates", est)
@@ -175,12 +188,15 @@ def entropy_trajectory(
 ) -> GasTrajectory:
     """Closed-form sq of U(t) (in1 x in2) on a uniform time grid.
 
-    samples >= 2 points from t = 0 to t = duration inclusive. The pair
-    column is (0, 1) throughout: the only two particles there are.
+    samples >= 2 points from t = 0 to t = duration inclusive, at most
+    ``SIZE_CAP`` (StateTooLarge). The pair column is (0, 1) throughout:
+    the only two particles there are.
     """
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if samples > SIZE_CAP:
+        raise StateTooLarge(f"samples exceed cap {SIZE_CAP}")
     if in1.factor_dims != (model.d1,) or in2.factor_dims != (model.d2,):
         raise DimensionMismatch(
             "in-states must be single particles of dims "
@@ -204,9 +220,8 @@ def _bipartite_entropy(amps_tensor: np.ndarray, i: int, j: int) -> float:
     """Schmidt entropy of factors {i, j} against the remaining factors."""
     moved = np.moveaxis(amps_tensor, (i, j), (0, 1))
     d_pair = moved.shape[0] * moved.shape[1]
-    s = np.linalg.svd(moved.reshape(d_pair, -1), compute_uv=False)
-    w = s**2
-    return shannon_entropy(w[w > WEIGHT_CUTOFF])
+    pair_rest = StateVector((d_pair, moved.size // d_pair), moved.reshape(-1))
+    return shannon_entropy(schmidt(pair_rest).weights)
 
 
 def _apply_pair(amps_tensor, u, i, j, d):

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPartition
-
-WEIGHT_SUM_ATOL = 1e-12
-WEIGHT_MATCH_ATOL = 1e-12
+from .tolerances import NORM_ATOL
 
 
 def shannon_entropy(weights) -> float:
@@ -42,10 +40,10 @@ class Scheme:
             raise ValueError("a scheme needs at least one event")
         if len(events) != w.size:
             raise ValueError(f"{len(events)} events but {w.size} weights")
-        if w.min() < -WEIGHT_SUM_ATOL or w.max() > 1.0 + WEIGHT_SUM_ATOL:
+        if w.min() < -NORM_ATOL or w.max() > 1.0 + NORM_ATOL:
             raise ValueError("weights must lie in [0, 1]")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1 within {WEIGHT_SUM_ATOL}")
+        if abs(w.sum() - 1.0) > NORM_ATOL:
+            raise ValueError(f"weights sum to {w.sum()}, not 1 within {NORM_ATOL}")
         w.setflags(write=False)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "weights", w)
@@ -100,13 +98,13 @@ def entropy(scheme: Scheme) -> float:
 def is_finer(fine: Scheme, coarse: Scheme, partition: Partition) -> bool:
     """True when coarsening ``fine`` along ``partition`` reproduces ``coarse``.
 
-    Weights must match within ``WEIGHT_MATCH_ATOL``; event labels are not
+    Weights must match within ``NORM_ATOL``; event labels are not
     compared, only the additive weight structure.
     """
     merged = coarsen(fine, partition)
     if len(merged) != len(coarse):
         return False
-    return bool(np.abs(merged.weights - coarse.weights).max() <= WEIGHT_MATCH_ATOL)
+    return bool(np.abs(merged.weights - coarse.weights).max() <= NORM_ATOL)
 
 
 def scheme_to_json(scheme: Scheme) -> dict:

@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotBipartite, NotDegenerate
 from .linalg import (
-    UNITARY_ATOL,
-    DEGENERACY_ATOL,
     SchmidtForm,
     StateVector,
     apply_per_factor,
     as_rng,
+    check_dims,
     complete_basis,
     haar_unitary,
     is_unitary,
@@ -30,6 +29,7 @@ from .linalg import (
 )
 from .observables import PointObservable, ProductObservable, measurement_entropy
 from .schemes import shannon_entropy
+from .tolerances import DEGENERACY_ATOL, NORM_ATOL
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_SEARCH = "search"
@@ -49,8 +49,6 @@ GRADIENT_TRIALS = 2
 RANDOM_TRIALS = 2
 MOMENTUM = 0.8
 ANGLE_LADDER = (4.0, 1.0, 0.25)
-
-VALUE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,9 @@ class SqResult:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "value", float(self.value))
         total = prod(self.argmin.factor_dims)
-        if not -VALUE_ATOL <= self.value <= log(total) + VALUE_ATOL:
+        if not -NORM_ATOL <= self.value <= log(total) + NORM_ATOL:
             raise ValueError(
-                f"value {self.value} outside [0, ln {total}] within {VALUE_ATOL}"
+                f"value {self.value} outside [0, ln {total}] within {NORM_ATOL}"
             )
 
     def to_json(self) -> dict:
@@ -282,7 +280,8 @@ def sq_search(
     influencing each other, so adding restarts never raises the result.
     Each restart's value is the entropy of its final weights; ties go to
     the earliest restart. On bipartite states the estimate matches
-    ``sq_bipartite`` to the test tolerances.
+    ``sq_bipartite`` to the test tolerances. The (restarts, dim) stack of
+    coefficients is held to the size policy of ``check_dims``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -292,6 +291,7 @@ def sq_search(
         raise ValueError("tol must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    check_dims((restarts, state.dim))
     dims = state.factor_dims
     rngs = [np.random.default_rng([seed, idx]) for idx in range(restarts)]
     bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters, tol)
@@ -331,7 +331,7 @@ def degenerate_orbit(form: SchmidtForm, u, start: int = 0) -> SchmidtForm:
         raise DimensionMismatch(
             f"block [{start}, {start + k}) outside rank {form.rank}"
         )
-    if not is_unitary(u, UNITARY_ATOL):
+    if not is_unitary(u):
         raise ValueError("u is not unitary")
     block = slice(start, start + k)
     w = form.weights[block]

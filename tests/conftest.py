@@ -5,9 +5,22 @@ arithmetic in a separate interpreter and are asserted verbatim, so the
 library under test never supplies its own expected values.
 """
 
+import tempfile
+
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sq_toolkit.linalg import StateVector
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic. Hypothesis still caches the
+# literals it scans from the source; that cache goes to a temporary
+# directory removed at exit, so a run leaves nothing in the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 LN2 = 0.6931471805599453
 ENTROPY_2314 = 1.2798542258336676  # weights (0.2, 0.3, 0.1, 0.4)

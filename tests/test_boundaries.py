@@ -1,0 +1,237 @@
+"""Property tests at the edges of the tolerance table and the size policy.
+
+The table's values are frozen here rather than imported, so a changed
+value in ``sq_toolkit.tolerances`` fails a test instead of silently moving
+the boundary it probes. Each edge is probed just inside and just outside.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sq_toolkit.cli import main
+from sq_toolkit.linalg import (
+    SIZE_CAP,
+    SchmidtForm,
+    StateVector,
+    haar_unitary,
+    is_unitary,
+    random_state,
+    schmidt,
+)
+from sq_toolkit.observables import (
+    PointObservable,
+    ProductObservable,
+    induced_mixture,
+    measurement_scheme,
+)
+from sq_toolkit.sq import sq_bipartite, sq_search
+
+NORM_ATOL = 1e-12
+WEIGHT_CUTOFF = 1e-12
+UNITARY_ATOL = 1e-10
+DEGENERACY_ATOL = 1e-9
+
+# the largest d1 * d2 whose dense (d1 d2)^2 collision operator fits the cap
+PAIR_CAP = math.isqrt(SIZE_CAP)
+
+seeds = st.integers(0, 2**32 - 1)
+bipartite_dims = st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 3), (4, 2)])
+
+
+def unit_vector(dim, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def scaled_state(dims, seed, factor):
+    return StateVector(dims, unit_vector(int(np.prod(dims)), seed) * factor)
+
+
+@settings(max_examples=30)
+@given(dims=bipartite_dims, seed=seeds, sign=st.sampled_from([-1.0, 1.0]))
+def test_norm_just_inside_tolerance_is_accepted_and_usable(dims, seed, sign):
+    state = scaled_state(dims, seed, 1.0 + sign * 0.999 * NORM_ATOL)
+    scheme = measurement_scheme(state, ProductObservable.random_simple(dims, seed + 1))
+    assert abs(scheme.weights.sum() - 1.0) <= NORM_ATOL
+    form = schmidt(state)
+    assert abs(form.weights.sum() - 1.0) <= NORM_ATOL
+
+
+@settings(max_examples=30)
+@given(dims=bipartite_dims, seed=seeds, sign=st.sampled_from([-1.0, 1.0]))
+def test_norm_just_outside_tolerance_raises(dims, seed, sign):
+    with pytest.raises(ValueError, match="norm"):
+        scaled_state(dims, seed, 1.0 + sign * 1.001 * NORM_ATOL)
+
+
+@settings(max_examples=30)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]),
+    seed=seeds,
+    factor=st.sampled_from([0.9, 1.1]),
+)
+def test_weight_cutoff_drops_only_weights_at_or_below_it(dims, seed, factor):
+    """The smallest of r = min(dims) weights sits just off the cutoff: the
+    Schmidt form and the induced mixture keep it above, drop it below."""
+    rng = np.random.default_rng(seed)
+    r = min(dims)
+    tiny = factor * WEIGHT_CUTOFF
+    weights = np.append(rng.dirichlet(np.ones(r - 1)) * (1.0 - tiny), tiny)
+    kept = r if factor > 1.0 else r - 1
+
+    # Schmidt weights, hidden behind random local bases
+    left = haar_unitary(dims[0], rng)[:, :r]
+    right = haar_unitary(dims[1], rng)[:, :r]
+    amps = (left * np.sqrt(weights)) @ right.T
+    form = schmidt(StateVector(dims, amps.reshape(-1)))
+    assert form.rank == kept
+    assert abs(form.weights.sum() - 1.0) <= NORM_ATOL
+
+    # outcome probabilities of a computational-basis measurement
+    diagonal = np.zeros(dims)
+    diagonal[np.arange(r), np.arange(r)] = np.sqrt(weights)
+    state = StateVector(dims, diagonal.reshape(-1))
+    mixture = induced_mixture(state, ProductObservable.computational(dims))
+    assert len(mixture) == kept
+    assert abs(sum(p for p, _ in mixture) - 1.0) <= NORM_ATOL
+
+
+@settings(max_examples=30)
+@given(
+    d1=st.integers(2, 4),
+    d2=st.integers(1, 3),
+    base=st.integers(-5, 5),
+    seed=seeds,
+    factor=st.sampled_from([0.99, 1.01]),
+)
+def test_degeneracy_tolerance_pools_or_splits_an_eigenvalue_pair(
+    d1, d2, base, seed, factor
+):
+    """Eigenvalues base and base + gap are one outcome below the tolerance
+    and two above it, and the scheme and the induced mixture agree."""
+    gap = factor * DEGENERACY_ATOL
+    values = [base, base + gap] + [base + k for k in range(1, d1 - 1)]
+    rng = np.random.default_rng(seed)
+    first = PointObservable(values, haar_unitary(d1, rng))
+    obs = ProductObservable((first, PointObservable.computational(d2)))
+    state = random_state((d1, d2), rng)
+    pooled = factor < 1.0
+    outcomes = (d1 - 1 if pooled else d1) * d2
+    assert first.is_simple is not pooled
+    assert len(first.outcome_classes()) == d1 - pooled
+    assert len(measurement_scheme(state, obs)) == outcomes
+    assert len(induced_mixture(state, obs)) == outcomes
+
+
+@settings(max_examples=30)
+@given(
+    d=st.integers(2, 5),
+    r=st.integers(1, 5),
+    seed=seeds,
+    sign=st.sampled_from([-1.0, 1.0]),
+    factor=st.sampled_from([0.9, 1.1]),
+)
+def test_unitary_tolerance_bounds_every_orthonormality_check(d, r, seed, sign, factor):
+    """One Gram entry off by just under or over the tolerance decides
+    ``is_unitary``, ``PointObservable`` and ``SchmidtForm`` alike."""
+    r = min(r, d)
+    stretch = np.ones(d)
+    stretch[0] = np.sqrt(1.0 + sign * factor * UNITARY_ATOL)
+    basis = haar_unitary(d, seed) * stretch
+    other = haar_unitary(d, seed + 1)[:, :r]
+    weights = np.full(r, 1.0 / r)
+    if factor < 1.0:
+        assert is_unitary(basis)
+        PointObservable(np.arange(1.0, d + 1.0), basis)
+        SchmidtForm((d, d), weights, basis[:, :r], other)
+    else:
+        assert not is_unitary(basis)
+        with pytest.raises(ValueError, match="orthonormal"):
+            PointObservable(np.arange(1.0, d + 1.0), basis)
+        with pytest.raises(ValueError, match="orthonormal"):
+            SchmidtForm((d, d), weights, basis[:, :r], other)
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 2), (1, 1)])
+@settings(max_examples=3)
+@given(seed=seeds)
+def test_search_with_one_dimensional_factors_matches_closed_form(dims, seed):
+    """A d=1 factor changes nothing: the closed form of the state without
+    it is what the search must find."""
+    state = random_state(dims, seed)
+    squeezed = tuple(d for d in dims if d > 1) or (1,)
+    squeezed += (1,) * (2 - len(squeezed))
+    closed = sq_bipartite(StateVector(squeezed, state.amplitudes)).value
+    assert abs(sq_search(state, restarts=3, seed=seed).value - closed) <= 1e-9
+
+
+def _pairs_above(low):
+    """(d1, d2) pairs of positive integers whose product exceeds ``low``."""
+    return st.integers(1, 5000).flatmap(
+        lambda d1: st.tuples(st.just(d1), st.integers(low // d1 + 1, 10**7))
+    )
+
+
+def _restarts_above_cap(dims, make_config):
+    """Configs whose restart count times ``prod(dims)`` exceeds the cap."""
+    low = SIZE_CAP // int(np.prod(dims)) + 1
+    return st.integers(low, 10**9).map(lambda k: make_config(dims, k))
+
+
+def _sq_config(dims, restarts):
+    return {
+        "method": "search",
+        "restarts": restarts,
+        "random_state": {"factor_dims": list(dims), "seed": 1},
+    }
+
+
+def _gas_config(dims, restarts):
+    return {"n": len(dims), "d": 2, "collisions": 1, "restarts": restarts}
+
+
+OVER_CAP = [
+    # a dense (d1 d2)^2 collision operator
+    ("scatter", _pairs_above(PAIR_CAP).map(
+        lambda ds: {"d1": ds[0], "d2": ds[1], "samples": 2})),
+    ("gas", st.tuples(st.integers(math.isqrt(PAIR_CAP) + 1, 10**5), st.integers(3, 5)).map(
+        lambda t: {"d": t[0], "n": t[1], "collisions": 1})),
+    # a time grid
+    ("scatter", st.integers(SIZE_CAP + 1, 10**12).map(
+        lambda s: {"d1": 2, "d2": 2, "samples": s})),
+    # a stack of restarts times the state dimension
+    ("sq", st.sampled_from([(2, 2), (3, 2), (2, 2, 2)]).flatmap(
+        lambda dims: _restarts_above_cap(dims, _sq_config))),
+    ("gas", st.sampled_from([(2, 2, 2), (2, 2, 2, 2)]).flatmap(
+        lambda dims: _restarts_above_cap(dims, _gas_config))),
+    # the verify battery's states
+    ("verify", _pairs_above(SIZE_CAP).filter(lambda ds: min(ds) >= 2).map(
+        lambda ds: {"dims": list(ds), "samples": 1})),
+]
+
+
+@pytest.mark.parametrize("command, configs", OVER_CAP)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_over_cap_requests_are_domain_errors(command, configs, data):
+    """Every array the CLI sizes from a config integer is held to the size
+    cap before it is allocated: exit 3 with an ``error:`` line."""
+    cfg = data.draw(configs)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(path)])
+    assert code == 3, cfg
+    assert stderr.getvalue().startswith("error:"), stderr.getvalue()

@@ -403,6 +403,18 @@ def test_gas_with_too_many_factors_is_a_domain_error(tmp_path, capsys):
         ("schmidt", {"random_state": {"factor_dims": [200000, 200000]}}),
         ("sq", {"state": {"factor_dims": [200000, 200000], "amplitudes": []}}),
         ("scatter", {"d1": 10**12}),
+        ("scatter", {"d1": 1000, "d2": 1000, "samples": 2}),
+        ("gas", {"n": 3, "d": 100, "collisions": 1}),
+        ("scatter", {"samples": 10**11}),
+        (
+            "sq",
+            {
+                "method": "search",
+                "restarts": 10**8,
+                "random_state": {"factor_dims": [2, 2], "seed": 1},
+            },
+        ),
+        ("verify", {"dims": [2000, 2000], "samples": 1}),
     ],
 )
 def test_oversized_states_are_domain_errors(tmp_path, capsys, command, cfg):

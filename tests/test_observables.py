@@ -32,6 +32,12 @@ def test_point_observable_rejects_shape_mismatch():
         PointObservable([1.0, 2.0, 3.0], np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_point_observable_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PointObservable([bad, 1.0], np.eye(2))
+
+
 def test_is_simple_detects_degeneracy():
     assert PointObservable.computational(3).is_simple
     assert not PointObservable([1.0, 1.0, 2.0], np.eye(3)).is_simple
