@@ -26,7 +26,7 @@ from .linalg import (
     tensor,
 )
 from .schemes import shannon_entropy
-from .sq import sq_bipartite, sq_search
+from .sq import _check_restart_stack, sq_bipartite, sq_search
 from .tolerances import NORM_ATOL
 
 
@@ -138,8 +138,11 @@ class GasTrajectory:
 
     pair_schedule records which particles collided before each row, with
     (-1, -1) for the initial row; pair_entropies is the Schmidt entropy of
-    that pair against the rest of the gas (a cheap closed-form diagnostic,
-    identical to sq_estimates for a two-particle system).
+    that pair against the rest of the gas (a cheap closed-form diagnostic
+    and a lower bound on sq). In a gas_run the pair's collision group holds
+    all of that entropy, so it is 0 while the group is just the pair; in an
+    entropy_trajectory, where the pair is the whole system, it repeats
+    sq_estimates.
     """
 
     times: tuple[float, ...]
@@ -231,6 +234,25 @@ def _apply_pair(amps_tensor, u, i, j, d):
     return np.moveaxis(flat.reshape(shape), (0, 1), (i, j))
 
 
+@dataclass
+class _Group:
+    """Particles joined by a chain of collisions: their joint amplitudes,
+    one axis per particle in ascending order, and the group's sq estimate.
+    Distinct groups stay uncorrelated, so the gas's sq is the sum of theirs."""
+
+    particles: tuple[int, ...]
+    amps: np.ndarray
+    value: float = 0.0
+
+
+def _merge(a: _Group, b: _Group) -> _Group:
+    """The product of two groups, its axes put back in particle order."""
+    particles = a.particles + b.particles
+    order = np.argsort(particles)
+    amps = np.multiply.outer(a.amps, b.amps).transpose(order)
+    return _Group(tuple(sorted(particles)), amps)
+
+
 def gas_run(
     n: int, d: int, collisions: int, model: CollisionModel, seed: int,
     restarts: int = 4,
@@ -238,10 +260,16 @@ def gas_run(
     """Random pairwise collisions in an n-particle gas of dimension d each.
 
     Starts from a seeded random product state; each step picks an unordered
-    pair uniformly, applies the model propagator to it, and records an
-    sq_search estimate over all n factors (restarts per step are few, so
-    the column is an upper bound, not a certificate). Identical (model,
-    seed) arguments give an identical trajectory.
+    pair uniformly and applies the model propagator to it. The gas is held
+    as a product of collision groups (particles joined by a chain of
+    collisions), and sq adds over the factors of a product, so a row's
+    estimate is the sum of the group estimates: 0 for an untouched
+    particle, the closed form for a pair, and an sq_search with few
+    restarts for three or more (an upper bound, not a certificate). Only
+    the group a collision touches is re-estimated. Every row draws one
+    search seed, used or not, so the pair schedule does not depend on the
+    grouping. Identical (model, seed) arguments give an identical
+    trajectory.
     """
     n, d, collisions = int(n), int(d), int(collisions)
     if n < 3:
@@ -249,32 +277,49 @@ def gas_run(
     if collisions < 0:
         raise ValueError("collisions must be >= 0")
     # lazily, so a huge n fails the factor cap without building a tuple
-    dims = check_dims(d for _ in range(n))
+    check_dims(d for _ in range(n))
     if (model.d1, model.d2) != (d, d):
         raise DimensionMismatch(
             f"model acts on dims ({model.d1}, {model.d2}), gas particles have dim {d}"
         )
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    # up front: a run whose groups stay small never reaches sq_search
+    _check_restart_stack(restarts, d**n)
     rng = np.random.default_rng(seed)
-    state = random_product_state(dims, rng)
-    amps = np.array(state.as_tensor(), copy=True)
+    # group_of[p] is particle p's group; every particle starts alone
+    group_of = [
+        _Group((p,), random_product_state((d,), rng).amplitudes) for p in range(n)
+    ]
     u = propagator(model)
 
-    def estimate(tensor_amps) -> float:
-        flat = StateVector(dims, tensor_amps.reshape(-1))
-        sub_seed = int(rng.integers(0, 2**63))
-        return sq_search(flat, restarts=restarts, seed=sub_seed).value
+    def total() -> float:
+        return sum(g.value for p, g in enumerate(group_of) if g.particles[0] == p)
 
+    rng.integers(0, 2**63)  # the initial row's search seed: a product needs none
     times = [0.0]
-    estimates = [estimate(amps)]
+    estimates = [total()]
     pairs = [(-1, -1)]
     pair_entropies = [0.0]
     for k in range(collisions):
         i, j = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
-        amps = _apply_pair(amps, u, i, j, d)
+        sub_seed = int(rng.integers(0, 2**63))
+        group = group_of[i]
+        if group is not group_of[j]:
+            group = _merge(group, group_of[j])
+            for p in group.particles:
+                group_of[p] = group
+        a, b = group.particles.index(i), group.particles.index(j)
+        group.amps = _apply_pair(group.amps, u, a, b, d)
+        state = StateVector((d,) * len(group.particles), group.amps.reshape(-1))
+        if len(group.particles) == 2:
+            group.value = sq_bipartite(state).value
+        else:
+            group.value = sq_search(state, restarts=restarts, seed=sub_seed).value
         times.append((k + 1) * model.duration)
-        estimates.append(estimate(amps))
+        estimates.append(total())
         pairs.append((i, j))
-        pair_entropies.append(_bipartite_entropy(amps, i, j))
+        pair_entropies.append(_bipartite_entropy(group.amps, a, b))
     return GasTrajectory(
         times=tuple(times),
         sq_estimates=tuple(estimates),

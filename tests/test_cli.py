@@ -422,6 +422,28 @@ def test_oversized_states_are_domain_errors(tmp_path, capsys, command, cfg):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (
+            "sq",
+            {
+                "method": "search",
+                "restarts": 10**8,
+                "random_state": {"factor_dims": [2, 2], "seed": 1},
+            },
+        ),
+        # one collision forms only a pair, which needs no search
+        ("gas", {"n": 3, "d": 2, "collisions": 1, "restarts": 10**8}),
+    ],
+)
+def test_restart_cap_error_names_the_restarts(tmp_path, capsys, command, cfg):
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "restarts" in err
+
+
 @pytest.mark.parametrize("command", ["schmidt", "sq", "verify"])
 def test_json_only_reports_take_no_format_flag(capsys, command):
     assert main([command, "--format", "json"]) == 2

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sq_toolkit import scattering
 from sq_toolkit.errors import DimensionMismatch, StateTooLarge
-from sq_toolkit.linalg import is_unitary, random_state
+from sq_toolkit.linalg import is_unitary, random_product_state, random_state
 from sq_toolkit.scattering import (
     CollisionModel,
     GasTrajectory,
@@ -23,6 +24,24 @@ from sq_toolkit.sq import sq_bipartite
 
 def box_model(coupling=0.5, seed=0, d=4):
     return CollisionModel.box(d, d, coupling=coupling, interaction_seed=seed)
+
+
+# gas_run(n, 2, collisions, box(2, 2, coupling=0.5), seed) as a 4-restart
+# sq_search over all n factors on every row, computed once and frozen:
+# (n, collisions, seed) -> (pair schedule after row 0, estimates).
+FROZEN_GAS_RUNS = {
+    (12, 3, 0): (
+        [(4, 9), (8, 9), (4, 7)],
+        [0.0, 0.03258584841282281, 0.05763113235317812, 0.16666755765747415],
+    ),
+    (6, 6, 2): (
+        [(4, 5), (2, 4), (1, 4), (2, 4), (2, 5), (2, 5)],
+        [
+            0.0, 0.07104952063692323, 0.17055034955940596, 0.21982437216540576,
+            0.17952831429255084, 0.19044066440839086, 0.1895581376602282,
+        ],
+    ),
+}
 
 
 def test_box_energies_are_square_levels():
@@ -244,3 +263,34 @@ def test_pair_entropy_matches_closed_form_for_two_body_cut():
     traj = gas_run(3, 2, 1, m, seed=5, restarts=2)
     assert traj.pair_entropies[0] == 0.0
     assert traj.pair_entropies[1] <= 1e-9
+
+
+@pytest.mark.parametrize("n, collisions, seed", sorted(FROZEN_GAS_RUNS))
+def test_gas_matches_frozen_whole_gas_search(n, collisions, seed):
+    pairs, estimates = FROZEN_GAS_RUNS[n, collisions, seed]
+    traj = gas_run(n, 2, collisions, box_model(d=2), seed=seed)
+    assert traj.pair_schedule == ((-1, -1), *pairs)
+    np.testing.assert_allclose(traj.sq_estimates, estimates, rtol=0.0, atol=1e-9)
+
+
+def test_gas_untouched_particles_and_pairs_need_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("sq_search called")
+
+    monkeypatch.setattr(scattering, "sq_search", no_search)
+    m = box_model(d=2)
+    traj = gas_run(12, 2, 1, m, seed=3)
+    i, j = traj.pair_schedule[1]
+    # the particles are drawn in order, each as random_product_state draws it
+    rng = np.random.default_rng(3)
+    particles = [random_product_state((2,), rng) for _ in range(12)]
+    pair = sq_bipartite(collide(m, particles[i], particles[j])).value
+    assert traj.sq_estimates[0] == 0.0
+    assert abs(traj.sq_estimates[1] - pair) <= 1e-12
+    assert pair > 0.0
+    assert traj.pair_entropies == (0.0, 0.0)
+
+
+def test_gas_rejects_zero_restarts():
+    with pytest.raises(ValueError):
+        gas_run(3, 2, 0, box_model(d=2), seed=0, restarts=0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ENTROPY_73, LN2, bell_state, ghz_state, two_weight_state
 from sq_toolkit.errors import DimensionMismatch, NotBipartite, NotDegenerate
@@ -11,6 +13,7 @@ from sq_toolkit.linalg import (
     random_product_state,
     random_state,
     schmidt,
+    tensor,
 )
 from sq_toolkit.observables import (
     PointObservable,
@@ -256,3 +259,20 @@ def test_convexity_gap_validates_inputs():
         convexity_gap(bell_state(), PointObservable.computational(3))
     with pytest.raises(ValueError):
         convexity_gap(bell_state(), PointObservable.identity(2))
+
+
+@settings(max_examples=8)
+@given(
+    dims_a=st.sampled_from([(2, 2), (2, 3)]),
+    dim_b=st.integers(2, 3),
+    b_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_adds_over_a_product_with_a_single_factor(dims_a, dim_b, b_first, seed):
+    """sq(psi_A x psi_B) = sq(psi_A) + sq(psi_B), and a single factor has
+    sq 0: every product measurement's outcome weights are p_A x p_B."""
+    rng = np.random.default_rng(seed)
+    a = random_state(dims_a, rng)
+    b = random_state((dim_b,), rng)
+    product = tensor(b, a) if b_first else tensor(a, b)
+    assert abs(sq_search(product, seed=seed).value - sq_bipartite(a).value) <= 1e-6
