@@ -50,6 +50,21 @@ def check_dims(factor_dims) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def check_restarts(restarts: int, dim: int) -> None:
+    """A search's restart count, checked against the size policy.
+
+    ``restarts`` must be >= 1 (ValueError), and the (restarts, dim) stack
+    of coefficients a search holds must fit in ``SIZE_CAP`` entries
+    (StateTooLarge).
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if restarts * dim > SIZE_CAP:
+        raise StateTooLarge(
+            f"restarts x dimension = {restarts} x {dim} exceeds cap {SIZE_CAP}"
+        )
+
+
 def as_rng(seed):
     """Coerce an integer seed, or pass through an existing Generator."""
     if isinstance(seed, np.random.Generator):

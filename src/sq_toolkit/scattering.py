@@ -21,12 +21,13 @@ from .linalg import (
     StateVector,
     apply_unitary,
     check_dims,
+    check_restarts,
     random_product_state,
     schmidt,
     tensor,
 )
 from .schemes import shannon_entropy
-from .sq import _check_restart_stack, sq_bipartite, sq_search
+from .sq import sq_bipartite, sq_search
 from .tolerances import NORM_ATOL
 
 
@@ -282,10 +283,8 @@ def gas_run(
         raise DimensionMismatch(
             f"model acts on dims ({model.d1}, {model.d2}), gas particles have dim {d}"
         )
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     # up front: a run whose groups stay small never reaches sq_search
-    _check_restart_stack(restarts, d**n)
+    check_restarts(restarts, d**n)
     rng = np.random.default_rng(seed)
     # group_of[p] is particle p's group; every particle starts alone
     group_of = [

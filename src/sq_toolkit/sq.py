@@ -15,13 +15,13 @@ from math import log, prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBipartite, NotDegenerate, StateTooLarge
+from .errors import DimensionMismatch, NotBipartite, NotDegenerate
 from .linalg import (
-    SIZE_CAP,
     SchmidtForm,
     StateVector,
     apply_per_factor,
     as_rng,
+    check_restarts,
     complete_basis,
     haar_unitary,
     is_unitary,
@@ -269,14 +269,6 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
     return final_bases, converged
 
 
-def _check_restart_stack(restarts: int, dim: int) -> None:
-    """Hold a search's (restarts, dim) coefficient stack to ``SIZE_CAP``."""
-    if restarts * dim > SIZE_CAP:
-        raise StateTooLarge(
-            f"restarts x dimension = {restarts} x {dim} exceeds cap {SIZE_CAP}"
-        )
-
-
 def sq_search(
     state: StateVector, restarts: int = 10, max_iters: int = 800,
     tol: float = 1e-10, seed: int = 0,
@@ -288,18 +280,16 @@ def sq_search(
     influencing each other, so adding restarts never raises the result.
     Each restart's value is the entropy of its final weights; ties go to
     the earliest restart. On bipartite states the estimate matches
-    ``sq_bipartite`` to the test tolerances. The (restarts, dim) stack of
-    coefficients is held to ``SIZE_CAP`` entries (StateTooLarge).
+    ``sq_bipartite`` to the test tolerances. ``restarts`` goes through
+    ``check_restarts``, which caps the (restarts, dim) coefficient stack.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    check_restarts(restarts, state.dim)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    _check_restart_stack(restarts, state.dim)
     dims = state.factor_dims
     rngs = [np.random.default_rng([seed, idx]) for idx in range(restarts)]
     bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters, tol)

@@ -18,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sq_toolkit.cli import main
+from sq_toolkit.errors import StateTooLarge
 from sq_toolkit.linalg import (
     SIZE_CAP,
     SchmidtForm,
     StateVector,
+    check_restarts,
     haar_unitary,
     is_unitary,
     random_state,
@@ -235,3 +237,14 @@ def test_over_cap_requests_are_domain_errors(command, configs, data):
             code = main([command, "--config", str(path)])
     assert code == 3, cfg
     assert stderr.getvalue().startswith("error:"), stderr.getvalue()
+
+
+@settings(max_examples=12)
+@given(dim=st.integers(1, SIZE_CAP))
+def test_restart_stack_at_the_cap_passes_and_one_more_restart_raises(dim):
+    """check_restarts holds restarts x dim to the cap: the most restarts
+    that fit pass, and one more raises."""
+    most = SIZE_CAP // dim
+    check_restarts(most, dim)
+    with pytest.raises(StateTooLarge, match="restarts"):
+        check_restarts(most + 1, dim)
