@@ -31,22 +31,13 @@ from .linalg import (
 from .observables import (
     PointObservable,
     ProductObservable,
-    induced_mixture,
-    is_finer_op,
     measurement_entropy,
-    measurement_scheme,
-    observable_from_json,
-    observable_to_json,
-    refine_to_simple,
 )
 from .schemes import (
     Partition,
     Scheme,
     coarsen,
     entropy,
-    is_finer,
-    scheme_from_json,
-    scheme_to_json,
     shannon_entropy,
 )
 from .scattering import (
@@ -99,19 +90,10 @@ __all__ = [
     "entropy_trajectory",
     "gas_run",
     "haar_unitary",
-    "induced_mixture",
-    "is_finer",
-    "is_finer_op",
     "is_unitary",
     "measurement_entropy",
-    "measurement_scheme",
-    "observable_from_json",
-    "observable_to_json",
     "random_product_state",
     "random_state",
-    "refine_to_simple",
-    "scheme_from_json",
-    "scheme_to_json",
     "schmidt",
     "shannon_entropy",
     "sq_bipartite",

@@ -44,26 +44,31 @@ def state_to_json(state: StateVector) -> dict:
     }
 
 
+def _factor_dims(dims, key) -> tuple[int, ...]:
+    """A nonempty JSON list of positive integers; true and false are not."""
+    if not isinstance(dims, list) or not dims or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise ConfigError(f"{key} must be a list of positive integers, got {dims!r}")
+    return tuple(dims)
+
+
 def state_from_json(obj) -> StateVector:
     if not isinstance(obj, dict) or not {"factor_dims", "amplitudes"} <= set(obj):
         raise ConfigError("state JSON needs 'factor_dims' and 'amplitudes'")
-    dims = obj["factor_dims"]
-    if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
-    ):
-        raise ConfigError("factor_dims must be a list of positive integers")
+    dims = _factor_dims(obj["factor_dims"], "factor_dims")
     expected = math.prod(check_dims(dims))
     pairs = obj["amplitudes"]
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ConfigError(f"amplitudes must be a list of {expected} [re, im] pairs")
     try:
         arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"amplitudes are not numeric: {exc}") from None
     if arr.shape != (expected, 2):
         raise ConfigError("each amplitude must be an [re, im] pair")
     try:
-        return StateVector(tuple(dims), arr[:, 0] + 1j * arr[:, 1])
+        return StateVector(dims, arr[:, 0] + 1j * arr[:, 1])
     except ValueError as exc:
         raise ConfigError(f"invalid state: {exc}") from None
 
@@ -71,7 +76,7 @@ def state_from_json(obj) -> StateVector:
 def _load_json_file(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
@@ -132,18 +137,19 @@ def _resolve_state(cfg, seed_flag, default_dims) -> StateVector:
     if "state" in cfg:
         return state_from_json(cfg["state"])
     if "state_file" in cfg:
-        return state_from_json(_load_json_file(cfg["state_file"]))
+        path = cfg["state_file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"state_file must be a path string, got {path!r}")
+        return state_from_json(_load_json_file(path))
     request = cfg.get("random_state", {})
     if not isinstance(request, dict):
         raise ConfigError("random_state must be an object")
-    dims = request.get("factor_dims", list(default_dims))
-    if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
-    ):
-        raise ConfigError("random_state.factor_dims must be positive integers")
+    dims = _factor_dims(
+        request.get("factor_dims", list(default_dims)), "random_state.factor_dims"
+    )
     default_seed = 0 if "random_state" in cfg else None
     seed = _seed_param(request, "seed", seed_flag, default_seed)
-    return random_state(tuple(dims), seed)
+    return random_state(dims, seed)
 
 
 def _round12(x: float) -> float:
@@ -229,8 +235,8 @@ def _cmd_verify(args) -> int:
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances must be an object of name -> number")
         for name, value in tolerances.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ConfigError(f"tolerance {name} must be a nonnegative number")
+            if not _is_finite_number(value) or value < 0:
+                raise ConfigError(f"tolerance {name} must be a finite number >= 0")
     try:
         report = run_battery(samples=samples, seed=seed, dims=dims, tolerances=tolerances)
     except ValueError as exc:

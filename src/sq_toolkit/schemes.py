@@ -1,4 +1,4 @@
-"""Finite weighted alternatives and the finer/coarser relation.
+"""Finite weighted alternatives, their coarsenings and their entropy.
 
 A scheme is a list of mutually exclusive events with probabilities summing
 to one. Coarsening merges events along a partition of the index range;
@@ -78,10 +78,6 @@ class Partition:
             )
 
 
-def identity_partition(size: int) -> Partition:
-    return Partition(tuple((i,) for i in range(size)))
-
-
 def coarsen(fine: Scheme, partition: Partition) -> Scheme:
     """Merge events along the partition; each group's weights add."""
     partition.validate_for(len(fine))
@@ -93,40 +89,3 @@ def coarsen(fine: Scheme, partition: Partition) -> Scheme:
 def entropy(scheme: Scheme) -> float:
     """Shannon entropy of the scheme's weights, in nats."""
     return shannon_entropy(scheme.weights)
-
-
-def is_finer(fine: Scheme, coarse: Scheme, partition: Partition) -> bool:
-    """True when coarsening ``fine`` along ``partition`` reproduces ``coarse``.
-
-    Weights must match within ``NORM_ATOL``; event labels are not
-    compared, only the additive weight structure.
-    """
-    merged = coarsen(fine, partition)
-    if len(merged) != len(coarse):
-        return False
-    return bool(np.abs(merged.weights - coarse.weights).max() <= NORM_ATOL)
-
-
-def scheme_to_json(scheme: Scheme) -> dict:
-    """JSON object with ``events`` and ``weights`` lists."""
-    return {
-        "events": [_jsonable(e) for e in scheme.events],
-        "weights": [float(w) for w in scheme.weights],
-    }
-
-
-def scheme_from_json(obj) -> Scheme:
-    if not isinstance(obj, dict) or not {"events", "weights"} <= set(obj):
-        raise ValueError("scheme JSON needs 'events' and 'weights'")
-    return Scheme(tuple(obj["events"]), obj["weights"])
-
-
-def _jsonable(event):
-    # tuples from coarsening become lists; labels are opaque so this is lossless
-    if isinstance(event, tuple):
-        return [_jsonable(x) for x in event]
-    if isinstance(event, (np.integer,)):
-        return int(event)
-    if isinstance(event, (np.floating,)):
-        return float(event)
-    return event

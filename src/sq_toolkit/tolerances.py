@@ -9,19 +9,18 @@ tolerances are caller options, not part of this table.
 """
 
 # Roundoff on a norm or a probability total: a state's norm, a scheme's
-# weight range and sum, two weight lists compared entry by entry, an
-# entropy outside [0, ln dim], and the descending order of sorted weights.
+# weight range and sum, an entropy outside [0, ln dim], and the descending
+# order of sorted weights.
 NORM_ATOL = 1e-12
 
-# A weight at or below this is dropped (Schmidt weights, mixture outcomes).
-# It equals NORM_ATOL because a dropped weight is roundoff that the norm
-# check on the kept ones must still forgive.
+# A Schmidt weight at or below this is dropped. It equals NORM_ATOL
+# because a dropped weight is roundoff that the norm check on the kept
+# ones must still forgive.
 WEIGHT_CUTOFF = NORM_ATOL
 
 # Largest entry of |B^H B - I| for a basis B with orthonormal columns.
 UNITARY_ATOL = 1e-10
 
 # Eigenvalues or weights closer than this are equal: one outcome of an
-# observable, one degenerate Schmidt block. Commutators and projector
-# containment use it too, because they decide the same outcome structure.
+# observable, one degenerate Schmidt block.
 DEGENERACY_ATOL = 1e-9

@@ -32,8 +32,7 @@ from sq_toolkit.linalg import (
 from sq_toolkit.observables import (
     PointObservable,
     ProductObservable,
-    induced_mixture,
-    measurement_scheme,
+    measurement_entropy,
 )
 from sq_toolkit.sq import sq_bipartite, sq_search
 
@@ -63,8 +62,8 @@ def scaled_state(dims, seed, factor):
 @given(dims=bipartite_dims, seed=seeds, sign=st.sampled_from([-1.0, 1.0]))
 def test_norm_just_inside_tolerance_is_accepted_and_usable(dims, seed, sign):
     state = scaled_state(dims, seed, 1.0 + sign * 0.999 * NORM_ATOL)
-    scheme = measurement_scheme(state, ProductObservable.random_simple(dims, seed + 1))
-    assert abs(scheme.weights.sum() - 1.0) <= NORM_ATOL
+    value = measurement_entropy(state, ProductObservable.random_simple(dims, seed + 1))
+    assert 0.0 <= value <= math.log(math.prod(dims)) + NORM_ATOL
     form = schmidt(state)
     assert abs(form.weights.sum() - 1.0) <= NORM_ATOL
 
@@ -83,8 +82,8 @@ def test_norm_just_outside_tolerance_raises(dims, seed, sign):
     factor=st.sampled_from([0.9, 1.1]),
 )
 def test_weight_cutoff_drops_only_weights_at_or_below_it(dims, seed, factor):
-    """The smallest of r = min(dims) weights sits just off the cutoff: the
-    Schmidt form and the induced mixture keep it above, drop it below."""
+    """The smallest of r = min(dims) Schmidt weights sits just off the
+    cutoff: the Schmidt form keeps it above and drops it below."""
     rng = np.random.default_rng(seed)
     r = min(dims)
     tiny = factor * WEIGHT_CUTOFF
@@ -99,14 +98,6 @@ def test_weight_cutoff_drops_only_weights_at_or_below_it(dims, seed, factor):
     assert form.rank == kept
     assert abs(form.weights.sum() - 1.0) <= NORM_ATOL
 
-    # outcome probabilities of a computational-basis measurement
-    diagonal = np.zeros(dims)
-    diagonal[np.arange(r), np.arange(r)] = np.sqrt(weights)
-    state = StateVector(dims, diagonal.reshape(-1))
-    mixture = induced_mixture(state, ProductObservable.computational(dims))
-    assert len(mixture) == kept
-    assert abs(sum(p for p, _ in mixture) - 1.0) <= NORM_ATOL
-
 
 @settings(max_examples=30)
 @given(
@@ -120,19 +111,25 @@ def test_degeneracy_tolerance_pools_or_splits_an_eigenvalue_pair(
     d1, d2, base, seed, factor
 ):
     """Eigenvalues base and base + gap are one outcome below the tolerance
-    and two above it, and the scheme and the induced mixture agree."""
+    and two above it: the measurement entropy is exactly that of the same
+    basis with the pair equal, or with the pair 1 apart."""
     gap = factor * DEGENERACY_ATOL
-    values = [base, base + gap] + [base + k for k in range(1, d1 - 1)]
+    rest = [base + k for k in range(2, d1)]
     rng = np.random.default_rng(seed)
-    first = PointObservable(values, haar_unitary(d1, rng))
-    obs = ProductObservable((first, PointObservable.computational(d2)))
+    basis = haar_unitary(d1, rng)
     state = random_state((d1, d2), rng)
+
+    def entropy_with(pair):
+        first = PointObservable(pair + rest, basis)
+        obs = ProductObservable((first, PointObservable.computational(d2)))
+        return first, measurement_entropy(state, obs)
+
     pooled = factor < 1.0
-    outcomes = (d1 - 1 if pooled else d1) * d2
+    first, value = entropy_with([base, base + gap])
     assert first.is_simple is not pooled
     assert len(first.outcome_classes()) == d1 - pooled
-    assert len(measurement_scheme(state, obs)) == outcomes
-    assert len(induced_mixture(state, obs)) == outcomes
+    reference = [base, base] if pooled else [base, base + 1]
+    assert value == entropy_with(reference)[1]
 
 
 @settings(max_examples=30)
@@ -237,6 +234,105 @@ def test_over_cap_requests_are_domain_errors(command, configs, data):
             code = main([command, "--config", str(path)])
     assert code == 3, cfg
     assert stderr.getvalue().startswith("error:"), stderr.getvalue()
+
+
+# Junk for any config slot: every JSON scalar type, and lists and objects
+# where scalars belong. Integers stay small, so a config that is still
+# valid asks only for a tiny state, search or battery.
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+MISSING = "<missing>"
+# () is the whole config; "samples" and "max_iters" are never deleted, since
+# their defaults (200 samples, 800 sweeps) would start a long run
+SLOTS = [
+    (), ("seed",), ("samples",), ("restarts",), ("max_iters",), ("method",),
+    ("tol",), ("dims",), ("tolerances",), ("state",), ("state", "factor_dims"),
+    ("state", "amplitudes"), ("state_file",), ("random_state",),
+    ("random_state", "factor_dims"), ("random_state", "seed"),
+]
+edits = st.lists(
+    st.sampled_from(SLOTS).flatmap(
+        lambda slot: st.tuples(
+            st.just(slot),
+            junk if slot in {("samples",), ("max_iters",)} else junk | st.just(MISSING),
+        )
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _valid_config(dims, seed, method, source, state_path) -> dict:
+    """A cheap config that every command accepts, its state given by
+    ``source``; a state file is written to ``state_path``."""
+    state = {
+        "factor_dims": dims,
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (math.prod(dims) - 1),
+    }
+    state_path.write_text(json.dumps(state))
+    cfg = {
+        "seed": seed,
+        "samples": 1,
+        "restarts": 2,
+        "max_iters": 3,
+        "method": method,
+        "dims": [2, 3],
+    }
+    cfg[source] = {
+        "state": state,
+        "state_file": str(state_path),
+        "random_state": {"factor_dims": dims, "seed": seed},
+    }[source]
+    return cfg
+
+
+def _apply(cfg, slot, value):
+    """Set the slot to ``value``, or delete it for MISSING; a slot whose
+    parent an earlier edit made junk is left alone."""
+    if not slot:
+        return {} if value == MISSING else value
+    parent = cfg
+    for key in slot[:-1]:
+        parent = parent.get(key) if isinstance(parent, dict) else None
+    if isinstance(parent, dict):
+        if value == MISSING:
+            parent.pop(slot[-1], None)
+        else:
+            parent[slot[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["schmidt", "sq", "verify"])
+@settings(max_examples=60)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 3),
+    method=st.sampled_from(["closed_form", "search"]),
+    source=st.sampled_from(["state", "state_file", "random_state"]),
+    changes=edits,
+)
+def test_malformed_configs_end_in_a_documented_exit_code(
+    command, dims, seed, method, source, changes
+):
+    """A valid config with one or two slots made junk or deleted (wrong
+    types, missing keys, lists and objects where scalars belong) ends in a
+    report (0), a config error (2) or a domain error (3); no exception
+    escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _valid_config(dims, seed, method, source, Path(tmp) / "state.json")
+        for slot, value in changes:
+            cfg = _apply(cfg, slot, value)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 2, 3), cfg
 
 
 @settings(max_examples=12)

@@ -37,8 +37,11 @@ def test_state_from_json_rejects_malformed():
         [],
         {"factor_dims": [2, 2]},
         {**good, "factor_dims": [2, "2"]},
+        # true would count as 1, so [True, 2] would fail on the amplitude count
+        {**good, "factor_dims": [True, 4]},
         {**good, "amplitudes": good["amplitudes"][:3]},
         {**good, "amplitudes": [[1.0, 0.0, 0.0]] * 4},
+        {**good, "amplitudes": [[10**400, 0.0]] + good["amplitudes"][1:]},
     ):
         with pytest.raises(ConfigError):
             state_from_json(broken)
@@ -49,6 +52,22 @@ def test_state_from_json_rejects_unnormalized():
     bad["amplitudes"][0] = [1.0, 0.0]
     with pytest.raises(ConfigError):
         state_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"state_file": 5},
+        {"state_file": None},
+        {"state_file": ["state.json"]},
+        {"state_file": "state\u0000.json"},
+        {"random_state": {"factor_dims": [True, 2]}},
+    ],
+    ids=["int-path", "null-path", "list-path", "nul-in-path", "bool-dim"],
+)
+def test_malformed_state_request_is_config_error(tmp_path, capsys, cfg):
+    assert main(["sq", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_schmidt_bell_file(tmp_path, capsys):
@@ -156,6 +175,12 @@ def test_verify_defaults_pass(capsys):
 
 def test_verify_negative_tolerance_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tolerances": {"convexity_gap": -1e-10}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_tolerance_beyond_a_float_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"tolerances": {"convexity_gap": 10**400}})
     assert main(["verify", "--config", cfg]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -10,10 +10,6 @@ from sq_toolkit.schemes import (
     Scheme,
     coarsen,
     entropy,
-    identity_partition,
-    is_finer,
-    scheme_from_json,
-    scheme_to_json,
     shannon_entropy,
 )
 
@@ -70,7 +66,7 @@ def test_coarsen_merges_pairs():
 
 def test_coarsen_identity_partition():
     fine = labeled([0.2, 0.3, 0.1, 0.4])
-    same = coarsen(fine, identity_partition(4))
+    same = coarsen(fine, Partition(((0,), (1,), (2,), (3,))))
     np.testing.assert_array_equal(same.weights, fine.weights)
 
 
@@ -79,27 +75,6 @@ def test_coarsen_to_single_event():
     total = coarsen(fine, Partition(((0, 1, 2, 3),)))
     np.testing.assert_allclose(total.weights, [1.0], atol=1e-15)
     assert len(total) == 1
-
-
-def test_is_finer_by_construction():
-    fine = labeled([0.2, 0.3, 0.1, 0.4])
-    part = Partition(((0, 1), (2, 3)))
-    assert is_finer(fine, coarsen(fine, part), part)
-
-
-def test_is_finer_weight_mismatch():
-    assert not is_finer(
-        labeled([0.5, 0.5]), labeled([0.6, 0.4]), identity_partition(2)
-    )
-
-
-def test_any_scheme_refines_the_trivial_one():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        fine = labeled(rng.dirichlet(np.ones(n)))
-        part = Partition((tuple(range(n)),))
-        assert is_finer(fine, labeled([1.0]), part)
 
 
 def test_coarsening_never_increases_entropy():
@@ -138,19 +113,3 @@ def test_partition_must_cover_scheme():
         coarsen(fine, Partition(((0,),)))
     with pytest.raises(InvalidPartition):
         coarsen(fine, Partition(((0, 1, 2),)))
-
-
-def test_json_round_trip():
-    fine = labeled([0.2, 0.3, 0.1, 0.4])
-    merged = coarsen(fine, Partition(((0, 2), (1, 3))))
-    back = scheme_from_json(scheme_to_json(merged))
-    np.testing.assert_array_equal(back.weights, merged.weights)
-    # labels survive as nested lists, the JSON-native container
-    assert back.events == ([0, 2], [1, 3])
-
-
-def test_json_rejects_missing_keys():
-    with pytest.raises(ValueError):
-        scheme_from_json({"weights": [1.0]})
-    with pytest.raises(ValueError):
-        scheme_from_json([1.0])
