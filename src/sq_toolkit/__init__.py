@@ -9,7 +9,6 @@ that show the quantity grow from zero when particles interact.
 
 from .errors import (
     DimensionMismatch,
-    InvalidPartition,
     NotBipartite,
     NotDegenerate,
     StateTooLarge,
@@ -34,9 +33,7 @@ from .observables import (
     measurement_entropy,
 )
 from .schemes import (
-    Partition,
     Scheme,
-    coarsen,
     entropy,
     shannon_entropy,
 )
@@ -65,10 +62,8 @@ __all__ = [
     "CollisionModel",
     "DimensionMismatch",
     "GasTrajectory",
-    "InvalidPartition",
     "NotBipartite",
     "NotDegenerate",
-    "Partition",
     "PointObservable",
     "ProductObservable",
     "Scheme",
@@ -81,7 +76,6 @@ __all__ = [
     "apply_unitary",
     "basis_state",
     "box_energies",
-    "coarsen",
     "collide",
     "complete_basis",
     "convexity_gap",

@@ -36,6 +36,35 @@ class ConfigError(ValueError):
     """Bad config file, bad flag value, or bad inline data."""
 
 
+# Every key a config may hold, per subcommand and per nested object (inline
+# states, state files, in1/in2 and random_state). Any other key is a config
+# error, so a misspelt key never quietly leaves its default in place.
+_STATE_SOURCES = ("state", "state_file", "random_state")
+_SEARCH_KEYS = ("restarts", "max_iters", "tol", "seed")
+_MODEL_KEYS = ("coupling", "interaction_seed", "duration")
+CONFIG_KEYS = {
+    "schmidt": {*_STATE_SOURCES},
+    "sq": {*_STATE_SOURCES, "method", *_SEARCH_KEYS},
+    "verify": {"samples", "seed", "dims", "tolerances"},
+    "scatter": {
+        "d1", "d2", "samples", "free_energies_1", "free_energies_2", "in1", "in2",
+        "seed", *_MODEL_KEYS,
+    },
+    "gas": {"n", "d", "collisions", "restarts", "free_energies", "seed", *_MODEL_KEYS},
+    "state": {"factor_dims", "amplitudes"},
+    "random_state": {"factor_dims", "seed"},
+}
+
+
+def _check_keys(obj: dict, kind: str) -> None:
+    unknown = sorted(set(obj) - CONFIG_KEYS[kind])
+    if unknown:
+        raise ConfigError(
+            f"unknown {kind} keys {unknown}; the known ones are "
+            f"{sorted(CONFIG_KEYS[kind])}"
+        )
+
+
 def state_to_json(state: StateVector) -> dict:
     """State as JSON: factor dims plus flat row-major [re, im] pairs."""
     return {
@@ -56,6 +85,7 @@ def _factor_dims(dims, key) -> tuple[int, ...]:
 def state_from_json(obj) -> StateVector:
     if not isinstance(obj, dict) or not {"factor_dims", "amplitudes"} <= set(obj):
         raise ConfigError("state JSON needs 'factor_dims' and 'amplitudes'")
+    _check_keys(obj, "state")
     dims = _factor_dims(obj["factor_dims"], "factor_dims")
     expected = math.prod(check_dims(dims))
     pairs = obj["amplitudes"]
@@ -84,12 +114,14 @@ def _load_json_file(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _load_config(path) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The subcommand's config object, holding only keys it reads."""
+    if args.config is None:
         return {}
-    cfg = _load_json_file(path)
+    cfg = _load_json_file(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, args.command)
     return cfg
 
 
@@ -144,6 +176,7 @@ def _resolve_state(cfg, seed_flag, default_dims) -> StateVector:
     request = cfg.get("random_state", {})
     if not isinstance(request, dict):
         raise ConfigError("random_state must be an object")
+    _check_keys(request, "random_state")
     dims = _factor_dims(
         request.get("factor_dims", list(default_dims)), "random_state.factor_dims"
     )
@@ -181,7 +214,7 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_schmidt(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     state = _resolve_state(cfg, args.seed, default_dims=(2, 2))
     form = schmidt(state)
     error = float(np.abs(form.reconstruct().amplitudes - state.amplitudes).max())
@@ -195,10 +228,13 @@ def _cmd_schmidt(args) -> int:
 
 
 def _cmd_sq(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     state = _resolve_state(cfg, args.seed, default_dims=(2, 2))
     method = cfg.get("method", "closed_form")
     if method == "closed_form":
+        unread = [k for k in _SEARCH_KEYS if k in cfg]
+        if unread:
+            raise ConfigError(f"{unread} apply only to method 'search'")
         result = sq_bipartite(state)
         report = result.to_json()
     elif method == "search":
@@ -221,7 +257,7 @@ def _cmd_sq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     samples = _int_param(cfg, "samples", 200, 1)
     seed = _seed_param(cfg, "seed", args.seed, 1)
     dims = cfg.get("dims", [3, 3])
@@ -274,7 +310,7 @@ def _emit_trajectory(traj, args) -> None:
 
 
 def _cmd_scatter(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     d1 = _int_param(cfg, "d1", 4, 1)
     d2 = _int_param(cfg, "d2", 4, 1)
     CollisionModel.check_size(d1, d2)  # before the energy lists are built
@@ -292,6 +328,8 @@ def _cmd_scatter(args) -> int:
     if "in1" in cfg or "in2" in cfg:
         if not ("in1" in cfg and "in2" in cfg):
             raise ConfigError("give both in1 and in2, or neither")
+        if "seed" in cfg:
+            raise ConfigError("seed draws the in-states; it does not go with in1 and in2")
         in1 = state_from_json(cfg["in1"])
         in2 = state_from_json(cfg["in2"])
     else:
@@ -304,7 +342,7 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_gas(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     n = _int_param(cfg, "n", 3, 3)
     d = _int_param(cfg, "d", 2, 1)
     CollisionModel.check_size(d, d)  # before the energy lists are built

@@ -17,10 +17,6 @@ class NotBipartite(ToolkitError):
     """A two-factor state was required."""
 
 
-class InvalidPartition(ToolkitError):
-    """Partition groups are not disjoint or do not cover the index range."""
-
-
 class NotDegenerate(ToolkitError):
     """The addressed weight block is not degenerate to working tolerance."""
 

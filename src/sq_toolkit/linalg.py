@@ -8,6 +8,7 @@ copied on construction and frozen, so instances can be shared freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -25,18 +26,30 @@ SIZE_CAP = 2**20
 MAX_FACTORS = 32
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as an int, if it is an integer: Python and NumPy integers
+    pass; floats, strings and bools raise ValueError rather than being
+    truncated or read as 0 and 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_dims(factor_dims) -> tuple[int, ...]:
     """Factor dimensions as a tuple of ints, checked against the size policy.
 
-    Every dimension must be >= 1 (ValueError otherwise). More than
-    ``MAX_FACTORS`` factors, or a joint dimension above ``SIZE_CAP``, raise
-    StateTooLarge. The input is read lazily and the check stops at the
+    Every dimension must be an integer >= 1 (ValueError otherwise). More
+    than ``MAX_FACTORS`` factors, or a joint dimension above ``SIZE_CAP``,
+    raise StateTooLarge. The input is read lazily and the check stops at the
     first violation, so an iterator of any length is safe to pass.
     """
     dims = []
     total = 1
     for d in factor_dims:
-        d = int(d)
+        d = check_int(d, "a factor dimension")
         if d < 1:
             raise ValueError("factor dimensions must be positive integers")
         dims.append(d)
@@ -164,7 +177,7 @@ def haar_unitary(dim, seed) -> np.ndarray:
     and makes the distribution exactly Haar. Same (dim, seed) gives the
     same matrix.
     """
-    dim = int(dim)
+    dim = check_int(dim, "dim")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = as_rng(seed)

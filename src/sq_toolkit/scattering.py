@@ -21,6 +21,7 @@ from .linalg import (
     StateVector,
     apply_unitary,
     check_dims,
+    check_int,
     check_restarts,
     random_product_state,
     schmidt,
@@ -66,7 +67,9 @@ class CollisionModel:
         object.__setattr__(self, "free_energies_1", e1)
         object.__setattr__(self, "free_energies_2", e2)
         object.__setattr__(self, "coupling", float(self.coupling))
-        object.__setattr__(self, "interaction_seed", int(self.interaction_seed))
+        object.__setattr__(
+            self, "interaction_seed", check_int(self.interaction_seed, "interaction_seed")
+        )
         object.__setattr__(self, "duration", float(self.duration))
 
     @staticmethod
@@ -196,7 +199,7 @@ def entropy_trajectory(
     ``SIZE_CAP`` (StateTooLarge). The pair column is (0, 1) throughout:
     the only two particles there are.
     """
-    samples = int(samples)
+    samples = check_int(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if samples > SIZE_CAP:
@@ -272,7 +275,8 @@ def gas_run(
     grouping. Identical (model, seed) arguments give an identical
     trajectory.
     """
-    n, d, collisions = int(n), int(d), int(collisions)
+    n, d = check_int(n, "n"), check_int(d, "d")
+    collisions = check_int(collisions, "collisions")
     if n < 3:
         raise ValueError("a gas needs n >= 3 particles")
     if collisions < 0:

@@ -1,8 +1,10 @@
-"""Finite weighted alternatives, their coarsenings and their entropy.
+"""Shannon entropy of finite weighted alternatives.
 
 A scheme is a list of mutually exclusive events with probabilities summing
-to one. Coarsening merges events along a partition of the index range;
-entropy is Shannon entropy in nats throughout.
+to one; entropy is Shannon entropy in nats throughout. Measuring with a
+degenerate observable pools the events of each of its outcomes, which can
+only lower the entropy; ``verify``'s ``scheme_monotonicity`` check and
+acceptance criterion 4 test that on ``observables.measurement_entropy``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition
 from .tolerances import NORM_ATOL
 
 
@@ -50,40 +51,6 @@ class Scheme:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint index groups covering 0..n-1 for some scheme length n."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        if not groups or any(len(g) == 0 for g in groups):
-            raise InvalidPartition("groups must be nonempty")
-        flat = [i for g in groups for i in g]
-        if len(set(flat)) != len(flat):
-            raise InvalidPartition("groups must be disjoint")
-        if min(flat) < 0:
-            raise InvalidPartition("indices must be nonnegative")
-        object.__setattr__(self, "groups", groups)
-
-    def validate_for(self, size: int) -> None:
-        """Check the groups cover exactly 0..size-1."""
-        flat = sorted(i for g in self.groups for i in g)
-        if flat != list(range(size)):
-            raise InvalidPartition(
-                f"groups must cover 0..{size - 1} exactly, got {flat}"
-            )
-
-
-def coarsen(fine: Scheme, partition: Partition) -> Scheme:
-    """Merge events along the partition; each group's weights add."""
-    partition.validate_for(len(fine))
-    events = tuple(tuple(fine.events[i] for i in g) for g in partition.groups)
-    weights = [float(fine.weights[list(g)].sum()) for g in partition.groups]
-    return Scheme(events, weights)
 
 
 def entropy(scheme: Scheme) -> float:

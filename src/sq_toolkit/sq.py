@@ -57,14 +57,13 @@ class SqResult:
 
     value is in nats; argmin is the product observable realizing it;
     weights are the outcome probabilities at the argmin, sorted descending.
-    method is "closed_form" or "search"; restarts_used and converged
-    describe the search (0 restarts and converged=True for the closed form).
+    method is "closed_form" or "search"; converged tells whether the best
+    search restart met its stop rule (always True for the closed form).
     """
 
     value: float
     argmin: ProductObservable
     method: str
-    restarts_used: int
     converged: bool
     weights: np.ndarray
 
@@ -86,7 +85,6 @@ class SqResult:
             "value": self.value,
             "method": self.method,
             "weights": [float(w) for w in self.weights],
-            "restarts_used": int(self.restarts_used),
             "converged": bool(self.converged),
         }
 
@@ -117,7 +115,6 @@ def sq_bipartite(state: StateVector) -> SqResult:
         value=shannon_entropy(form.weights),
         argmin=adapted_pair(form),
         method=METHOD_CLOSED_FORM,
-        restarts_used=0,
         converged=True,
         weights=form.weights,
     )
@@ -307,7 +304,6 @@ def sq_search(
         value=values[best],
         argmin=ProductObservable(factors),
         method=METHOD_SEARCH,
-        restarts_used=restarts,
         converged=bool(converged[best]),
         weights=weights[best],
     )

@@ -1,4 +1,5 @@
-"""Property tests at the edges of the tolerance table and the size policy.
+"""Property tests at the edges of the tolerance table, the size policy and
+the config reader, and of the bounds between closed form and search.
 
 The table's values are frozen here rather than imported, so a changed
 value in ``sq_toolkit.tolerances`` fails a test instead of silently moving
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sq_toolkit.cli import main
+from sq_toolkit.cli import CONFIG_KEYS, main
 from sq_toolkit.errors import StateTooLarge
 from sq_toolkit.linalg import (
     SIZE_CAP,
@@ -174,6 +175,32 @@ def test_search_with_one_dimensional_factors_matches_closed_form(dims, seed):
     assert abs(sq_search(state, restarts=3, seed=seed).value - closed) <= 1e-9
 
 
+@settings(max_examples=30)
+@given(d1=st.integers(2, 5), d2=st.integers(2, 5), seed=seeds)
+def test_closed_form_is_at_most_any_simple_product_measurement(d1, d2, seed):
+    """No sampled simple product observable beats the Schmidt entropy."""
+    rng = np.random.default_rng(seed)
+    state = random_state((d1, d2), rng)
+    closed = sq_bipartite(state).value
+    for _ in range(5):
+        obs = ProductObservable.random_simple((d1, d2), rng)
+        assert closed <= measurement_entropy(state, obs) + 1e-10
+
+
+@settings(max_examples=20)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 5), (4, 3)]),
+    max_iters=st.integers(1, 3),
+    seed=seeds,
+)
+def test_search_at_any_budget_is_at_least_the_closed_form(dims, max_iters, seed):
+    """A search value is the entropy of a measurement it attained, so even
+    one restart stopped after a few sweeps stays above the closed form."""
+    state = random_state(dims, seed)
+    value = sq_search(state, restarts=1, max_iters=max_iters, seed=seed).value
+    assert value >= sq_bipartite(state).value - 1e-10
+
+
 def _pairs_above(low):
     """(d1, d2) pairs of positive integers whose product exceeds ``low``."""
     return st.integers(1, 5000).flatmap(
@@ -238,7 +265,7 @@ def test_over_cap_requests_are_domain_errors(command, configs, data):
 
 # Junk for any config slot: every JSON scalar type, and lists and objects
 # where scalars belong. Integers stay small, so a config that is still
-# valid asks only for a tiny state, search or battery.
+# valid asks only for a tiny state, search, battery, time grid or gas.
 junk = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -246,53 +273,100 @@ junk = st.recursive(
     max_leaves=6,
 )
 MISSING = "<missing>"
-# () is the whole config; "samples" and "max_iters" are never deleted, since
-# their defaults (200 samples, 800 sweeps) would start a long run
-SLOTS = [
-    (), ("seed",), ("samples",), ("restarts",), ("max_iters",), ("method",),
-    ("tol",), ("dims",), ("tolerances",), ("state",), ("state", "factor_dims"),
-    ("state", "amplitudes"), ("state_file",), ("random_state",),
-    ("random_state", "factor_dims"), ("random_state", "seed"),
+STATE_SLOTS = [
+    ("state",), ("state", "factor_dims"), ("state", "amplitudes"), ("state_file",),
+    ("random_state",), ("random_state", "factor_dims"), ("random_state", "seed"),
+    # misspelt keys
+    ("stat",), ("random_state", "sed"), ("state", "factor_dim"),
 ]
-edits = st.lists(
-    st.sampled_from(SLOTS).flatmap(
+# The slots each command's config has, () being the whole config, and the
+# slots that are never deleted, because their defaults (800 sweeps, 200
+# samples, 10 collisions) would start a long run.
+SLOTS = {
+    "schmidt": [(), *STATE_SLOTS],
+    "sq": [
+        (), *STATE_SLOTS, ("method",), ("seed",), ("restarts",), ("max_iters",),
+        ("tol",), ("restart",), ("max_iter",),
+    ],
+    "verify": [
+        (), ("seed",), ("samples",), ("dims",), ("tolerances",), ("dimz",), ("sample",),
+    ],
+    "scatter": [
+        (), ("d1",), ("d2",), ("samples",), ("seed",), ("coupling",), ("duration",),
+        ("interaction_seed",), ("free_energies_1",), ("in1",), ("in1", "factor_dims"),
+        ("in2",), ("in2", "amplitudes"), ("d",), ("sample",), ("in1", "dims"),
+    ],
+    "gas": [
+        (), ("n",), ("d",), ("collisions",), ("restarts",), ("seed",), ("coupling",),
+        ("duration",), ("interaction_seed",), ("free_energies",), ("colisions",),
+        ("restart",),
+    ],
+}
+KEPT = {("max_iters",), ("samples",), ("collisions",)}
+SOURCES = {
+    "schmidt": ["state", "state_file", "random_state"],
+    "sq": ["state", "state_file", "random_state"],
+    "verify": [None],
+    "scatter": ["seed", "in_states"],
+    "gas": [None],
+}
+
+
+def _edits(command):
+    slot_and_value = st.sampled_from(SLOTS[command]).flatmap(
         lambda slot: st.tuples(
-            st.just(slot),
-            junk if slot in {("samples",), ("max_iters",)} else junk | st.just(MISSING),
+            st.just(slot), junk if slot in KEPT else junk | st.just(MISSING)
         )
-    ),
-    min_size=1,
-    max_size=2,
-)
+    )
+    return st.lists(slot_and_value, min_size=1, max_size=2)
 
 
-def _valid_config(dims, seed, method, source, state_path) -> dict:
-    """A cheap config that every command accepts, its state given by
-    ``source``; a state file is written to ``state_path``."""
-    state = {
+def _state_json(dims) -> dict:
+    return {
         "factor_dims": dims,
         "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (math.prod(dims) - 1),
     }
-    state_path.write_text(json.dumps(state))
+
+
+def _valid_config(command, dims, seed, method, source, state_path) -> dict:
+    """A cheap config that ``command`` accepts and that holds only keys it
+    reads; a state given by ``source`` = "state_file" goes to ``state_path``."""
+    if command == "verify":
+        return {"seed": seed, "samples": 1, "dims": [2, 3]}
+    if command == "gas":
+        return {
+            "n": 3, "d": 2, "collisions": 2, "restarts": 1, "seed": seed,
+            "coupling": 0.5, "duration": 1.0, "interaction_seed": seed,
+            "free_energies": [1.0, 4.0],
+        }
+    if command == "scatter":
+        cfg = {
+            "d1": 2, "d2": 3, "samples": 2, "coupling": 0.5, "duration": 1.0,
+            "interaction_seed": seed, "free_energies_1": [1.0, 4.0],
+        }
+        if source == "in_states":
+            cfg.update(in1=_state_json([2]), in2=_state_json([3]))
+        else:
+            cfg["seed"] = seed
+        return cfg
+    state_path.write_text(json.dumps(_state_json(dims)))
     cfg = {
-        "seed": seed,
-        "samples": 1,
-        "restarts": 2,
-        "max_iters": 3,
-        "method": method,
-        "dims": [2, 3],
+        source: {
+            "state": _state_json(dims),
+            "state_file": str(state_path),
+            "random_state": {"factor_dims": dims, "seed": seed},
+        }[source]
     }
-    cfg[source] = {
-        "state": state,
-        "state_file": str(state_path),
-        "random_state": {"factor_dims": dims, "seed": seed},
-    }[source]
+    if command == "sq":
+        cfg["method"] = method
+        if method == "search":
+            cfg.update(seed=seed, restarts=2, max_iters=3)
     return cfg
 
 
 def _apply(cfg, slot, value):
     """Set the slot to ``value``, or delete it for MISSING; a slot whose
-    parent an earlier edit made junk is left alone."""
+    parent an earlier edit made junk or left out is left alone."""
     if not slot:
         return {} if value == MISSING else value
     parent = cfg
@@ -306,33 +380,55 @@ def _apply(cfg, slot, value):
     return cfg
 
 
-@pytest.mark.parametrize("command", ["schmidt", "sq", "verify"])
+def _run(command, cfg, tmp) -> int:
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        return main([command, "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "command, source, method",
+    [
+        (command, source, method)
+        for command in SLOTS
+        for source in SOURCES[command]
+        for method in (["closed_form", "search"] if command == "sq" else [None])
+    ],
+)
+def test_unedited_configs_exit_0(command, source, method):
+    """The configs the junk below starts from hold only keys their command
+    reads, and run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _valid_config(command, [2, 2], 1, method, source, Path(tmp) / "state.json")
+        assert set(cfg) <= CONFIG_KEYS[command]
+        assert _run(command, cfg, tmp) == 0, cfg
+
+
+@pytest.mark.parametrize("command", list(SLOTS))
 @settings(max_examples=60)
 @given(
     dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     seed=st.integers(0, 3),
     method=st.sampled_from(["closed_form", "search"]),
-    source=st.sampled_from(["state", "state_file", "random_state"]),
-    changes=edits,
+    data=st.data(),
 )
 def test_malformed_configs_end_in_a_documented_exit_code(
-    command, dims, seed, method, source, changes
+    command, dims, seed, method, data
 ):
-    """A valid config with one or two slots made junk or deleted (wrong
-    types, missing keys, lists and objects where scalars belong) ends in a
-    report (0), a config error (2) or a domain error (3); no exception
-    escapes main."""
+    """A valid config with one or two slots made junk, deleted or added
+    under a misspelt name (wrong types, missing keys, lists and objects
+    where scalars belong) ends in a report (0), a config error (2) or a
+    domain error (3); no exception escapes main."""
+    source = data.draw(st.sampled_from(SOURCES[command]))
+    changes = data.draw(_edits(command))
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = _valid_config(dims, seed, method, source, Path(tmp) / "state.json")
+        cfg = _valid_config(command, dims, seed, method, source, Path(tmp) / "state.json")
         for slot, value in changes:
             cfg = _apply(cfg, slot, value)
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
-            code = main([command, "--config", str(path)])
-    assert code in (0, 2, 3), cfg
+        assert _run(command, cfg, tmp) in (0, 2, 3), cfg
 
 
 @settings(max_examples=12)

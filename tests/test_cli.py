@@ -128,7 +128,6 @@ def test_sq_search_bell(tmp_path, capsys):
     assert code == 0
     assert report["method"] == "search"
     assert abs(report["value"] - LN2) <= 1e-6
-    assert report["restarts_used"] == 10
     assert abs(report["gap_to_closed_form"]) <= 1e-6
 
 
@@ -473,3 +472,44 @@ def test_restart_cap_error_names_the_restarts(tmp_path, capsys, command, cfg):
 def test_json_only_reports_take_no_format_flag(capsys, command):
     assert main([command, "--format", "json"]) == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+BELL_JSON = state_to_json(bell_state())
+RANDOM_2X2 = {"factor_dims": [2, 2], "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("sq", {"method": "closed_form", "restarts": 3, "random_state": RANDOM_2X2}),
+        ("sq", {"max_iters": 5, "random_state": RANDOM_2X2}),
+        ("sq", {"seed": 2, "state": BELL_JSON}),
+        ("sq", {"random_state": {"factor_dims": [2, 2], "sed": 3}}),
+        ("sq", {"method": "search", "restart": 1, "random_state": RANDOM_2X2}),
+        ("sq", {"state": {**BELL_JSON, "phase": 0.0}}),
+        ("schmidt", {"random_state": RANDOM_2X2, "method": "search"}),
+        ("gas", {"n": 3, "colisions": 50}),
+        ("verify", {"samples": 1, "dimz": [9, 9]}),
+        ("scatter", {"samples": 2, "d": 2}),
+        ("scatter", {"samples": 2, "in1": {**BELL_JSON, "factor_dims": [4], "x": 1},
+                     "in2": BELL_JSON}),
+        ("scatter", {"samples": 2, "seed": 1,
+                     "in1": state_to_json(random_product_state((4,), 1)),
+                     "in2": state_to_json(random_product_state((4,), 2))}),
+    ],
+    ids=[
+        "closed-form-restarts", "closed-form-max-iters", "closed-form-seed",
+        "random-state-sed", "search-restart", "inline-state-extra",
+        "schmidt-method", "gas-colisions", "verify-dimz", "scatter-d",
+        "scatter-in1-extra", "scatter-seed-with-in-states",
+    ],
+)
+def test_keys_that_nothing_reads_are_config_errors(tmp_path, capsys, command, cfg):
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_state_file_with_an_unknown_key_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {**BELL_JSON, "norm": 1.0}, name="state.json")
+    assert main(["sq", "--config", write_config(tmp_path, {"state_file": path})]) == 2
+    assert "unknown state keys ['norm']" in capsys.readouterr().err

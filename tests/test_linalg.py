@@ -21,6 +21,7 @@ from sq_toolkit.linalg import (
     schmidt,
     tensor,
 )
+from sq_toolkit.scattering import CollisionModel, entropy_trajectory, gas_run
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -330,3 +331,33 @@ def test_size_policy_caps_joint_dimension_before_allocating():
     big = random_product_state((SIZE_CAP // 2,), 0)
     with pytest.raises(StateTooLarge):
         tensor(big, random_product_state((4,), 1))
+
+
+QUBIT_MODEL = CollisionModel.box(2, 2)
+QUBIT = StateVector((2,), [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build, good, bad",
+    [
+        (lambda v: random_state((v, 2), 0), 2, 2.7),
+        (lambda v: StateVector((v, 2), np.eye(4)[0]), 2, "2"),
+        (lambda v: StateVector((v, 2), [1.0, 0.0]), 1, True),
+        (lambda v: haar_unitary(v, 0), 2, 2.9),
+        (lambda v: gas_run(v, 2, 1, QUBIT_MODEL, 0), 3, 3.9),
+        (lambda v: gas_run(3, v, 1, QUBIT_MODEL, 0), 2, 2.0),
+        (lambda v: gas_run(3, 2, v, QUBIT_MODEL, 0), 1, 1.5),
+        (lambda v: entropy_trajectory(QUBIT_MODEL, QUBIT, QUBIT, v), 2, 2.5),
+        (lambda v: CollisionModel.box(2, 2, interaction_seed=v), 1, 1.5),
+    ],
+    ids=[
+        "random-state-dims", "string-dim", "bool-dim", "haar-dim", "gas-n",
+        "gas-d", "gas-collisions", "trajectory-samples", "interaction-seed",
+    ],
+)
+def test_sizes_and_counts_must_be_integers(build, good, bad):
+    """A float, string or bool where a size or count belongs raises rather
+    than being truncated or read as 1; NumPy integers pass."""
+    build(np.int64(good))
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)

@@ -75,7 +75,6 @@ def test_sq_bipartite_bell():
     assert abs(res.value - LN2) <= 1e-12
     assert res.method == "closed_form"
     assert res.converged
-    assert res.restarts_used == 0
     np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-12)
 
 
@@ -91,7 +90,7 @@ def test_sq_bipartite_rejects_other_factor_counts():
 def test_sq_result_to_json_keys():
     res = sq_bipartite(bell_state())
     out = res.to_json()
-    assert set(out) == {"value", "method", "weights", "restarts_used", "converged"}
+    assert set(out) == {"value", "method", "weights", "converged"}
 
 
 def test_sq_result_rejects_out_of_range_value():
@@ -101,7 +100,6 @@ def test_sq_result_rejects_out_of_range_value():
             value=10.0,
             argmin=res.argmin,
             method="closed_form",
-            restarts_used=0,
             converged=True,
             weights=res.weights,
         )
@@ -112,7 +110,6 @@ def test_search_product_state_reaches_zero():
     res = sq_search(st, restarts=4, seed=1)
     assert res.value <= 1e-9
     assert res.method == "search"
-    assert res.restarts_used == 4
 
 
 def test_search_matches_bell_closed_form():

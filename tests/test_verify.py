@@ -8,9 +8,6 @@ from sq_toolkit.verify import (
     bell_state,
     check_convexity_gap,
     check_proof_chain,
-    check_scheme_monotonicity,
-    random_partition,
-    random_scheme,
     run_battery,
 )
 
@@ -30,6 +27,7 @@ def test_default_battery_passes():
     report = run_battery(samples=60, seed=1)
     assert report["passed"]
     assert {c["name"] for c in report["checks"]} == CHECK_NAMES
+    assert [c["name"] for c in report["checks"]] == list(DEFAULT_TOLERANCES)
     for check in report["checks"]:
         assert check["passed"]
         assert check["worst"] <= check["tolerance"]
@@ -72,28 +70,20 @@ def test_impossible_tolerance_fails_cleanly():
 
 
 def test_individual_checks_report_worst_case():
-    mono = check_scheme_monotonicity(50, 0, DEFAULT_TOLERANCES["scheme_monotonicity"])
-    assert mono["samples"] == 50
-    assert mono["worst"] <= mono["tolerance"]
     chain = check_proof_chain(
         30, 1, (3, 3),
+        DEFAULT_TOLERANCES["scheme_monotonicity"],
         DEFAULT_TOLERANCES["proof_chain_inequalities"],
         DEFAULT_TOLERANCES["proof_chain_equality"],
     )
     assert [c["name"] for c in chain] == [
-        "proof_chain_inequalities", "proof_chain_equality",
+        "scheme_monotonicity", "proof_chain_inequalities", "proof_chain_equality",
     ]
+    pooled = chain[0]
+    assert pooled["samples"] == 30
+    assert pooled["worst"] <= pooled["tolerance"]
     gap = check_convexity_gap(30, 2, (2, 4), DEFAULT_TOLERANCES["convexity_gap"])
     assert gap["passed"]
-
-
-def test_random_scheme_and_partition_are_consistent():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        scheme = random_scheme(rng)
-        part = random_partition(rng, len(scheme))
-        part.validate_for(len(scheme))
-        assert abs(scheme.weights.sum() - 1.0) <= 1e-12
 
 
 def test_bell_state_helper():
