@@ -40,12 +40,12 @@ class ConfigError(ValueError):
 # states, state files, in1/in2 and random_state). Any other key is a config
 # error, so a misspelt key never quietly leaves its default in place.
 _STATE_SOURCES = ("state", "state_file", "random_state")
-_SEARCH_KEYS = ("restarts", "max_iters", "tol", "seed")
+_SEARCH_KEYS = ("restarts", "max_iters", "seed")
 _MODEL_KEYS = ("coupling", "interaction_seed", "duration")
 CONFIG_KEYS = {
     "schmidt": {*_STATE_SOURCES},
     "sq": {*_STATE_SOURCES, "method", *_SEARCH_KEYS},
-    "verify": {"samples", "seed", "dims", "tolerances"},
+    "verify": {"samples", "seed", "dims"},
     "scatter": {
         "d1", "d2", "samples", "free_energies_1", "free_energies_2", "in1", "in2",
         "seed", *_MODEL_KEYS,
@@ -240,13 +240,8 @@ def _cmd_sq(args) -> int:
     elif method == "search":
         restarts = _int_param(cfg, "restarts", 10, 1)
         max_iters = _int_param(cfg, "max_iters", 800, 1)
-        tol = _float_param(cfg, "tol", 1e-10)
-        if tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {tol}")
         seed = _seed_param(cfg, "seed", args.seed, 0)
-        result = sq_search(
-            state, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed
-        )
+        result = sq_search(state, restarts=restarts, max_iters=max_iters, seed=seed)
         report = result.to_json()
         if state.num_factors == 2:
             report["gap_to_closed_form"] = result.value - sq_bipartite(state).value
@@ -266,15 +261,8 @@ def _cmd_verify(args) -> int:
     ):
         raise ConfigError("dims must be two integers >= 2")
     check_dims(dims)  # run_battery's errors are config errors, this one is not
-    tolerances = cfg.get("tolerances")
-    if tolerances is not None:
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances must be an object of name -> number")
-        for name, value in tolerances.items():
-            if not _is_finite_number(value) or value < 0:
-                raise ConfigError(f"tolerance {name} must be a finite number >= 0")
     try:
-        report = run_battery(samples=samples, seed=seed, dims=dims, tolerances=tolerances)
+        report = run_battery(samples=samples, seed=seed, dims=dims)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _emit(_json_text(report), args.out)

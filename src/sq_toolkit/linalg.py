@@ -137,7 +137,7 @@ class StateVector:
 def basis_state(factor_dims, indices) -> StateVector:
     """Product basis vector |j1 ... jn> for the given per-factor indices."""
     dims = check_dims(factor_dims)
-    idx = tuple(int(j) for j in indices)
+    idx = tuple(check_int(j, "an index") for j in indices)
     if len(idx) != len(dims):
         raise DimensionMismatch("one index per factor required")
     amps = np.zeros(prod(dims), dtype=np.complex128)
@@ -187,14 +187,15 @@ def haar_unitary(dim, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _orthonormal_columns(b, atol=UNITARY_ATOL) -> bool:
-    """Whether the columns of the 2-D array ``b`` are orthonormal."""
-    return bool(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= atol)
+def _orthonormal_columns(b) -> bool:
+    """Whether the columns of the 2-D array ``b`` are orthonormal within
+    ``UNITARY_ATOL``."""
+    return bool(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= UNITARY_ATOL)
 
 
-def is_unitary(u, atol=UNITARY_ATOL) -> bool:
+def is_unitary(u) -> bool:
     u = np.asarray(u)
-    return u.ndim == 2 and u.shape[0] == u.shape[1] and _orthonormal_columns(u, atol)
+    return u.ndim == 2 and u.shape[0] == u.shape[1] and _orthonormal_columns(u)
 
 
 def apply_unitary(state: StateVector, u) -> StateVector:
@@ -265,7 +266,7 @@ class SchmidtForm:
     right_basis: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(check_int(d, "a factor dimension") for d in self.factor_dims)
         if len(dims) != 2 or min(dims) < 1:
             raise ValueError("factor_dims must be two positive integers")
         w = np.array(self.weights, dtype=float, copy=True).reshape(-1)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import StateVector, apply_per_factor, as_rng, haar_unitary, is_unitary
+from .linalg import (
+    StateVector,
+    apply_per_factor,
+    as_rng,
+    check_int,
+    haar_unitary,
+    is_unitary,
+)
 from .schemes import shannon_entropy
 from .tolerances import DEGENERACY_ATOL
 
@@ -87,16 +94,16 @@ class PointObservable:
         return classes
 
     @classmethod
-    def computational(cls, dim, eigenvalues=None) -> "PointObservable":
-        """Standard-basis observable, eigenvalues 1..dim unless given."""
-        if eigenvalues is None:
-            eigenvalues = np.arange(1.0, dim + 1.0)
-        return cls(eigenvalues, np.eye(int(dim)))
+    def computational(cls, dim) -> "PointObservable":
+        """Standard-basis observable with eigenvalues 1..dim."""
+        dim = check_int(dim, "dim")
+        return cls(np.arange(1.0, dim + 1.0), np.eye(dim))
 
     @classmethod
     def identity(cls, dim) -> "PointObservable":
         """Trivial observable: every direction answers 1."""
-        return cls(np.ones(int(dim)), np.eye(int(dim)))
+        dim = check_int(dim, "dim")
+        return cls(np.ones(dim), np.eye(dim))
 
     @classmethod
     def random_simple(cls, dim, seed) -> "PointObservable":

@@ -34,7 +34,7 @@ from .tolerances import NORM_ATOL
 
 def box_energies(dim: int) -> tuple[float, ...]:
     """Free spectrum (k+1)^2, k = 0..dim-1, like levels in a hard box."""
-    return tuple(float((k + 1) ** 2) for k in range(int(dim)))
+    return tuple(float((k + 1) ** 2) for k in range(check_int(dim, "dim")))
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,19 @@ class CollisionModel:
         e2 = tuple(float(e) for e in self.free_energies_2)
         if len(e1) != d1 or len(e2) != d2:
             raise DimensionMismatch("free energy lists must match the dimensions")
+        coupling, duration = float(self.coupling), float(self.duration)
+        # a NaN or infinite entry would reach eigh or the state norm check
+        if not np.isfinite([*e1, *e2, coupling, duration]).all():
+            raise ValueError("free energies, coupling and duration must be finite")
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "free_energies_1", e1)
         object.__setattr__(self, "free_energies_2", e2)
-        object.__setattr__(self, "coupling", float(self.coupling))
+        object.__setattr__(self, "coupling", coupling)
         object.__setattr__(
             self, "interaction_seed", check_int(self.interaction_seed, "interaction_seed")
         )
-        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "duration", duration)
 
     @staticmethod
     def check_size(d1, d2) -> tuple[int, int]:

@@ -45,6 +45,7 @@ METHOD_SEARCH = "search"
 STEP_INIT = 0.3
 STEP_DECAY = 0.5
 STEP_FLOOR = 1e-8
+STOP_GAIN = 1e-10
 GRADIENT_TRIALS = 2
 RANDOM_TRIALS = 2
 MOMENTUM = 0.8
@@ -152,7 +153,7 @@ def _entropy_gradient(t: np.ndarray) -> np.ndarray:
     return (m - m.conj().swapaxes(-1, -2)) / 2j
 
 
-def _lockstep(amplitudes, dims, rngs, max_iters, tol):
+def _lockstep(amplitudes, dims, rngs, max_iters):
     """All restarts of the greedy coordinate descent over per-factor bases.
 
     Each restart starts from Haar-random factor bases drawn from its own
@@ -160,7 +161,8 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
     several angles, the best improving one accepted) come before random
     perturbations tried in both senses; every acceptance requires strict
     decrease, ties going to the first candidate. A restart converges once
-    its step sits at the floor and a sweep improves by less than tol.
+    its step sits at ``STEP_FLOOR`` and a sweep improves by less than
+    ``STOP_GAIN``.
 
     The restarts still running descend together: their coefficients are one
     (A, total) stack, and each attempt scores all candidates of all of them
@@ -245,7 +247,7 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
                 for trial in range(RANDOM_TRIALS):
                     attempt(everyone, random_rots[:, trial])
             flat = t.swapaxes(1, 2).reshape(active, -1)
-        done = (step <= STEP_FLOOR) & (sweep_start - value < tol)
+        done = (step <= STEP_FLOOR) & (sweep_start - value < STOP_GAIN)
         converged[ids[done]] = True
         stalled = ~done & (accepts == 0)
         step[stalled] = np.maximum(step[stalled] * STEP_DECAY, STEP_FLOOR)
@@ -267,8 +269,7 @@ def _lockstep(amplitudes, dims, rngs, max_iters, tol):
 
 
 def sq_search(
-    state: StateVector, restarts: int = 10, max_iters: int = 800,
-    tol: float = 1e-10, seed: int = 0,
+    state: StateVector, restarts: int = 10, max_iters: int = 800, seed: int = 0
 ) -> SqResult:
     """Upper-bound estimate of sq by randomized coordinate descent.
 
@@ -276,20 +277,20 @@ def sq_search(
     (seed, restart index), and all restarts run in lockstep without
     influencing each other, so adding restarts never raises the result.
     Each restart's value is the entropy of its final weights; ties go to
-    the earliest restart. On bipartite states the estimate matches
+    the earliest restart. A restart runs at most ``max_iters`` sweeps; it
+    converges once its step is at ``STEP_FLOOR`` and a sweep gains less
+    than ``STOP_GAIN``. On bipartite states the estimate matches
     ``sq_bipartite`` to the test tolerances. ``restarts`` goes through
     ``check_restarts``, which caps the (restarts, dim) coefficient stack.
     """
     check_restarts(restarts, state.dim)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     dims = state.factor_dims
     rngs = [np.random.default_rng([seed, idx]) for idx in range(restarts)]
-    bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters, tol)
+    bases, converged = _lockstep(state.amplitudes, dims, rngs, max_iters)
     coeff = apply_per_factor(
         [u.conj().swapaxes(-1, -2) for u in bases],
         np.broadcast_to(state.amplitudes, (restarts, state.dim)), dims,

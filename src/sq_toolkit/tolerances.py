@@ -4,8 +4,9 @@ These decide membership in the set of measurable observables and which
 events a measurement has: when a total counts as 1, when a weight counts
 as 0, when a basis counts as orthonormal and when two eigenvalues count
 as one outcome. This module holds constants only, no imports and no
-functions. The search's ``tol`` and the ``verify`` battery's report
-tolerances are caller options, not part of this table.
+functions. The search's stop rule (``sq.STOP_GAIN``) and the ``verify``
+battery's report bounds (``verify.DEFAULT_TOLERANCES``) judge results
+rather than membership, so they live beside the code that uses them.
 """
 
 # Roundoff on a norm or a probability total: a state's norm, a scheme's

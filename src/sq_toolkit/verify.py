@@ -1,23 +1,32 @@
 """Randomized property battery behind the ``verify`` CLI subcommand.
 
 Each check draws seeded samples, records its worst violation, and passes
-when that stays inside the tolerance. The checks cover: pooling the
-outcomes of a degenerate observable never raises the entropy
-(``scheme_monotonicity``), the three-step chain bounding any product
-measurement from below by the closed form, nonnegativity of the convexity
-gap, invariance of the closed form on degenerate-block orbits, and the
-sampled oracle bound with attainment by adapted pairs.
+when that stays inside its fixed bound in ``DEFAULT_TOLERANCES``. The
+checks cover: pooling the outcomes of a degenerate observable never raises
+the entropy (``scheme_monotonicity``), the three-step chain bounding any
+product measurement from below by the closed form, nonnegativity of the
+convexity gap, invariance of the closed form on degenerate-block orbits,
+and the sampled oracle bound with attainment by adapted pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import StateVector, haar_unitary, random_state, schmidt
+from .linalg import (
+    StateVector,
+    check_dims,
+    check_int,
+    haar_unitary,
+    random_state,
+    schmidt,
+)
 from .observables import PointObservable, ProductObservable, measurement_entropy
 from .schemes import shannon_entropy
 from .sq import adapted_pair, convexity_gap, degenerate_orbit, sq_bipartite
 
+# The bound each check's worst value must stay within, one per report line
+# and in report order. The bounds are fixed.
 DEFAULT_TOLERANCES = {
     "scheme_monotonicity": 1e-12,
     "proof_chain_inequalities": 1e-10,
@@ -35,10 +44,7 @@ def bell_state() -> StateVector:
     return StateVector((2, 2), [amp, 0.0, 0.0, amp])
 
 
-def check_proof_chain(
-    samples: int, seed: int, dims,
-    tol_pooling: float, tol_inequality: float, tol_equality: float,
-) -> list[dict]:
+def check_proof_chain(samples: int, seed: int, dims) -> list[dict]:
     """Chain from any simple product measurement down to the closed form,
     and the pooling that makes simple observables the ones to minimize over.
 
@@ -53,7 +59,7 @@ def check_proof_chain(
     """
     rng = np.random.default_rng(seed + 1)
     labels = np.random.default_rng(seed)
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = check_dims(dims)
     one = PointObservable.identity(d2)
     worst_pool = -np.inf
     worst_ineq = -np.inf
@@ -76,27 +82,25 @@ def check_proof_chain(
         worst_ineq = max(worst_ineq, s_c1 - s_cd, s_a1 - s_c1)
         worst_eq = max(worst_eq, abs(s_a1 - s_ab))
     return [
-        _record("scheme_monotonicity", samples, worst_pool, tol_pooling),
-        _record("proof_chain_inequalities", samples, worst_ineq, tol_inequality),
-        _record("proof_chain_equality", samples, worst_eq, tol_equality),
+        _record("scheme_monotonicity", samples, worst_pool),
+        _record("proof_chain_inequalities", samples, worst_ineq),
+        _record("proof_chain_equality", samples, worst_eq),
     ]
 
 
-def check_convexity_gap(samples: int, seed: int, dims, tolerance: float) -> dict:
+def check_convexity_gap(samples: int, seed: int, dims) -> dict:
     """Gap nonnegativity: worst = max(-gap) over sampled (state, c) pairs."""
     rng = np.random.default_rng(seed)
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = check_dims(dims)
     worst = -np.inf
     for _ in range(samples):
         state = random_state((d1, d2), rng)
         c = PointObservable.random_simple(d1, rng)
         worst = max(worst, -convexity_gap(state, c))
-    return _record("convexity_gap", samples, worst, tolerance)
+    return _record("convexity_gap", samples, worst)
 
 
-def check_degenerate_orbit(
-    samples: int, seed: int, tol_entropy: float, tol_reconstruction: float
-) -> list[dict]:
+def check_degenerate_orbit(samples: int, seed: int) -> list[dict]:
     """Every orbit point of the Bell form reconstructs the state and still
     attains ln 2 through its adapted pair."""
     rng = np.random.default_rng(seed)
@@ -113,19 +117,18 @@ def check_degenerate_orbit(
         worst_rec = max(worst_rec, float(err))
         worst_ent = max(worst_ent, abs(s - target))
     return [
-        _record("degenerate_orbit_entropy", samples, worst_ent, tol_entropy),
-        _record("degenerate_orbit_reconstruction", samples, worst_rec, tol_reconstruction),
+        _record("degenerate_orbit_entropy", samples, worst_ent),
+        _record("degenerate_orbit_reconstruction", samples, worst_rec),
     ]
 
 
 def check_oracle_bound(
-    states: int, observables_per_state: int, seed: int, dims,
-    tol_bound: float, tol_attainment: float,
+    states: int, observables_per_state: int, seed: int, dims
 ) -> list[dict]:
     """Sampled product measurements never beat the closed form, and the
     adapted pair attains it: worst_bound = max(closed - sampled)."""
     rng = np.random.default_rng(seed)
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = check_dims(dims)
     worst_bound = -np.inf
     worst_att = 0.0
     for _ in range(states):
@@ -138,52 +141,37 @@ def check_oracle_bound(
         worst_att = max(worst_att, abs(attained - closed))
     total = states * observables_per_state
     return [
-        _record("oracle_lower_bound", total, worst_bound, tol_bound),
-        _record("adapted_attainment", states, worst_att, tol_attainment),
+        _record("oracle_lower_bound", total, worst_bound),
+        _record("adapted_attainment", states, worst_att),
     ]
 
 
-def run_battery(
-    samples: int = 200, seed: int = 1, dims=(3, 3), tolerances=None
-) -> dict:
-    """Run all checks; the report passes only if every check does."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        for name, value in tolerances.items():
-            if not float(value) >= 0.0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
-            tol[name] = float(value)
-    samples = int(samples)
+def run_battery(samples: int = 200, seed: int = 1, dims=(3, 3)) -> dict:
+    """Run all checks, each against its fixed bound in
+    ``DEFAULT_TOLERANCES``; the report passes only if every check does."""
+    samples = check_int(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    d1, d2 = check_dims(dims)
     checks = [
-        *check_proof_chain(
-            samples, seed, dims, tol["scheme_monotonicity"],
-            tol["proof_chain_inequalities"], tol["proof_chain_equality"],
-        ),
-        check_convexity_gap(samples, seed + 2, dims, tol["convexity_gap"]),
-        *check_degenerate_orbit(
-            samples, seed + 3,
-            tol["degenerate_orbit_entropy"], tol["degenerate_orbit_reconstruction"],
-        ),
-        *check_oracle_bound(
-            max(1, samples // 20), min(20, samples), seed + 4, dims,
-            tol["oracle_lower_bound"], tol["adapted_attainment"],
-        ),
+        *check_proof_chain(samples, seed, (d1, d2)),
+        check_convexity_gap(samples, seed + 2, (d1, d2)),
+        *check_degenerate_orbit(samples, seed + 3),
+        *check_oracle_bound(max(1, samples // 20), min(20, samples), seed + 4, (d1, d2)),
     ]
     return {
         "seed": int(seed),
         "samples": samples,
-        "dims": [int(dims[0]), int(dims[1])],
+        "dims": [d1, d2],
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
 
 
-def _record(name: str, samples: int, worst: float, tolerance: float) -> dict:
+def _record(name: str, samples: int, worst: float) -> dict:
+    """One check's report line, judged against its bound in
+    ``DEFAULT_TOLERANCES``."""
+    tolerance = DEFAULT_TOLERANCES[name]
     return {
         "name": name,
         "samples": int(samples),

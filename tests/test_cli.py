@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import LN2, bell_state, ghz_state
-from sq_toolkit.cli import ConfigError, main, state_from_json, state_to_json
-from sq_toolkit.linalg import random_product_state
+from sq_toolkit import verify
+from sq_toolkit.cli import (
+    ConfigError,
+    _json_text,
+    main,
+    state_from_json,
+    state_to_json,
+)
+from sq_toolkit.linalg import random_product_state, random_state
+from sq_toolkit.scattering import (
+    CollisionModel,
+    entropy_trajectory,
+    gas_run,
+    trajectory_to_csv,
+)
+from sq_toolkit.sq import sq_search
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -172,21 +186,25 @@ def test_verify_defaults_pass(capsys):
     assert report["seed"] == 1
 
 
-def test_verify_negative_tolerance_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"tolerances": {"convexity_gap": -1e-10}})
-    assert main(["verify", "--config", cfg]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_verify_tolerance_beyond_a_float_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"tolerances": {"convexity_gap": 10**400}})
-    assert main(["verify", "--config", cfg]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_verify_unknown_tolerance_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, {"tolerances": {"bogus": 1e-10}})
-    assert main(["verify", "--config", cfg]) == 2
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
+    """The handlers restate the library's defaults, so a default changed in
+    only one place fails here: each report equals the library call that
+    passes no optional argument."""
+    state = random_state((2, 2, 2), 3)
+    cfg = write_config(tmp_path, {"method": "search", "state": state_to_json(state)})
+    assert main(["sq", "--config", cfg]) == 0
+    assert capsys.readouterr().out == _json_text(sq_search(state).to_json())
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == _json_text(verify.run_battery())
+    assert main(["gas", "--config", write_config(tmp_path, {})]) == 0
+    expected = gas_run(3, 2, 10, CollisionModel.box(2, 2), 0)
+    assert capsys.readouterr().out == trajectory_to_csv(expected)
+    # scatter's sizes and in-state draw are its own; its model is the box's
+    assert main(["scatter"]) == 0
+    rng = np.random.default_rng(0)
+    in1, in2 = random_state((4,), rng), random_state((4,), rng)
+    expected = entropy_trajectory(CollisionModel.box(4, 4), in1, in2, 21)
+    assert capsys.readouterr().out == trajectory_to_csv(expected)
 
 
 def test_verify_single_sample(tmp_path, capsys):
@@ -196,11 +214,10 @@ def test_verify_single_sample(tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_verify_violation_exits_one(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {"samples": 20, "seed": 2, "tolerances": {"proof_chain_equality": 0.0}},
-    )
+def test_verify_violation_exits_one(tmp_path, capsys, monkeypatch):
+    # the equality holds only to roundoff, so a zero bound must fail
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "proof_chain_equality", 0.0)
+    cfg = write_config(tmp_path, {"samples": 20, "seed": 2})
     code, report = run_json(capsys, ["verify", "--config", cfg])
     assert code == 1
     assert report["passed"] is False
@@ -396,16 +413,6 @@ def test_scatter_rejects_non_finite_numbers(tmp_path, capsys, cfg):
     assert "error:" in capsys.readouterr().err
 
 
-def test_search_rejects_nan_tol(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(
-        '{"method": "search", "tol": NaN, "restarts": 1,'
-        ' "random_state": {"factor_dims": [2, 2], "seed": 0}}'
-    )
-    assert main(["sq", "--config", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_inline_nan_state_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(
@@ -490,6 +497,11 @@ RANDOM_2X2 = {"factor_dims": [2, 2], "seed": 1}
         ("schmidt", {"random_state": RANDOM_2X2, "method": "search"}),
         ("gas", {"n": 3, "colisions": 50}),
         ("verify", {"samples": 1, "dimz": [9, 9]}),
+        ("sq", {"method": "search", "tol": float("nan"), "restarts": 1,
+                "random_state": RANDOM_2X2}),
+        ("verify", {"tolerances": {"convexity_gap": -1e-10}}),
+        ("verify", {"tolerances": {"convexity_gap": 10**400}}),
+        ("verify", {"tolerances": {"bogus": 1e-10}}),
         ("scatter", {"samples": 2, "d": 2}),
         ("scatter", {"samples": 2, "in1": {**BELL_JSON, "factor_dims": [4], "x": 1},
                      "in2": BELL_JSON}),
@@ -500,7 +512,9 @@ RANDOM_2X2 = {"factor_dims": [2, 2], "seed": 1}
     ids=[
         "closed-form-restarts", "closed-form-max-iters", "closed-form-seed",
         "random-state-sed", "search-restart", "inline-state-extra",
-        "schmidt-method", "gas-colisions", "verify-dimz", "scatter-d",
+        "schmidt-method", "gas-colisions", "verify-dimz", "search-nan-tol",
+        "verify-negative-tolerance", "verify-tolerance-beyond-a-float",
+        "verify-unknown-tolerance", "scatter-d",
         "scatter-in1-extra", "scatter-seed-with-in-states",
     ],
 )

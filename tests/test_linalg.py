@@ -21,7 +21,14 @@ from sq_toolkit.linalg import (
     schmidt,
     tensor,
 )
-from sq_toolkit.scattering import CollisionModel, entropy_trajectory, gas_run
+from sq_toolkit.observables import PointObservable
+from sq_toolkit.scattering import (
+    CollisionModel,
+    box_energies,
+    entropy_trajectory,
+    gas_run,
+)
+from sq_toolkit.verify import run_battery
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -349,10 +356,20 @@ QUBIT = StateVector((2,), [1.0, 0.0])
         (lambda v: gas_run(3, 2, v, QUBIT_MODEL, 0), 1, 1.5),
         (lambda v: entropy_trajectory(QUBIT_MODEL, QUBIT, QUBIT, v), 2, 2.5),
         (lambda v: CollisionModel.box(2, 2, interaction_seed=v), 1, 1.5),
+        (lambda v: PointObservable.identity(v), 2, 2.9),
+        (lambda v: PointObservable.identity(v), 1, True),
+        (lambda v: PointObservable.computational(v), 2, 2.0),
+        (lambda v: basis_state((2, 2), (v, 0)), 1, 1.7),
+        (lambda v: SchmidtForm((v, 2), [1.0], [[1.0], [0.0]], [[1.0], [0.0]]), 2, 2.7),
+        (lambda v: box_energies(v), 2, 2.9),
+        (lambda v: run_battery(samples=v, dims=(2, 2)), 1, 2.9),
+        (lambda v: run_battery(samples=1, dims=(v, 3)), 3, 3.5),
     ],
     ids=[
         "random-state-dims", "string-dim", "bool-dim", "haar-dim", "gas-n",
         "gas-d", "gas-collisions", "trajectory-samples", "interaction-seed",
+        "identity-dim", "identity-bool-dim", "computational-dim", "basis-index",
+        "schmidt-form-dims", "box-energies-dim", "battery-samples", "battery-dims",
     ],
 )
 def test_sizes_and_counts_must_be_integers(build, good, bad):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from sq_toolkit import cli
 from sq_toolkit.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -59,3 +60,22 @@ def test_command_line_example_prints_what_the_readme_shows(tmp_path, command):
     codes = []
     assert _capture(lambda: codes.append(main(argv))) == expected
     assert codes == [0]
+
+
+@pytest.mark.parametrize(
+    "lead, keys",
+    [
+        ("search configs may set", set(cli._SEARCH_KEYS)),
+        ("`verify` runs the property battery", cli.CONFIG_KEYS["verify"]),
+        ("Scatter config keys:", cli.CONFIG_KEYS["scatter"]),
+        ("Gas config keys:", cli.CONFIG_KEYS["gas"]),
+    ],
+    ids=["sq-search", "verify", "scatter", "gas"],
+)
+def test_config_key_lists_match_the_cli(lead, keys):
+    """The backticked names in the sentence that lists a subcommand's config
+    keys, from its lead to the next sentence end, are the keys the CLI
+    reads."""
+    sentence = re.search(re.escape(lead) + r"(.*?)[.:]\s", README, re.DOTALL).group(1)
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(names) == sorted(keys)

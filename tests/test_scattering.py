@@ -1,5 +1,7 @@
 """Tests for collision models, trajectories, and gas runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ def test_box_energies_are_square_levels():
 def test_model_validates_energy_lengths():
     with pytest.raises(DimensionMismatch):
         CollisionModel(2, 2, (1.0,), (1.0, 4.0), 0.5, 0, 1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["free_energies_1", "coupling", "duration"])
+def test_model_rejects_non_finite_numbers(field, value):
+    bad = (1.0, value) if field == "free_energies_1" else value
+    with pytest.raises(ValueError, match="must be finite"):
+        dataclasses.replace(CollisionModel.box(2, 2), **{field: bad})
 
 
 def test_model_rejects_empty_particles():

@@ -150,8 +150,6 @@ def test_search_validates_arguments():
     with pytest.raises(ValueError):
         sq_search(st, max_iters=0)
     with pytest.raises(ValueError):
-        sq_search(st, tol=0.0)
-    with pytest.raises(ValueError):
         sq_search(st, seed=-1)
 
 

@@ -44,25 +44,14 @@ def test_battery_deterministic_in_seed():
     assert a == b
 
 
-def test_battery_rejects_unknown_tolerance():
-    with pytest.raises(ValueError):
-        run_battery(samples=5, tolerances={"no_such_check": 1e-9})
-
-
-def test_battery_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        run_battery(samples=5, tolerances={"convexity_gap": -1e-9})
-
-
 def test_battery_rejects_zero_samples():
     with pytest.raises(ValueError):
         run_battery(samples=0)
 
 
-def test_impossible_tolerance_fails_cleanly():
-    report = run_battery(
-        samples=20, seed=2, tolerances={"proof_chain_equality": 0.0}
-    )
+def test_impossible_tolerance_fails_cleanly(monkeypatch):
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "proof_chain_equality", 0.0)
+    report = run_battery(samples=20, seed=2)
     failed = [c for c in report["checks"] if not c["passed"]]
     # the equality holds only to roundoff, so a zero tolerance must fail
     assert not report["passed"]
@@ -70,19 +59,14 @@ def test_impossible_tolerance_fails_cleanly():
 
 
 def test_individual_checks_report_worst_case():
-    chain = check_proof_chain(
-        30, 1, (3, 3),
-        DEFAULT_TOLERANCES["scheme_monotonicity"],
-        DEFAULT_TOLERANCES["proof_chain_inequalities"],
-        DEFAULT_TOLERANCES["proof_chain_equality"],
-    )
+    chain = check_proof_chain(30, 1, (3, 3))
     assert [c["name"] for c in chain] == [
         "scheme_monotonicity", "proof_chain_inequalities", "proof_chain_equality",
     ]
     pooled = chain[0]
     assert pooled["samples"] == 30
     assert pooled["worst"] <= pooled["tolerance"]
-    gap = check_convexity_gap(30, 2, (2, 4), DEFAULT_TOLERANCES["convexity_gap"])
+    gap = check_convexity_gap(30, 2, (2, 4))
     assert gap["passed"]
 
 
