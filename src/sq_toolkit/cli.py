@@ -11,6 +11,7 @@ codes: 0 success, 1 property violation found by verify, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -369,7 +370,10 @@ _HELP = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="sq-toolkit",
         description="entropy of pure states under product measurements",

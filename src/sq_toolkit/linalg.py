@@ -63,19 +63,21 @@ def check_dims(factor_dims) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def check_restarts(restarts: int, dim: int) -> None:
-    """A search's restart count, checked against the size policy.
+def check_restarts(restarts, dim: int) -> int:
+    """A search's restart count as an int, checked against the size policy.
 
-    ``restarts`` must be >= 1 (ValueError), and the (restarts, dim) stack
-    of coefficients a search holds must fit in ``SIZE_CAP`` entries
-    (StateTooLarge).
+    ``restarts`` must be an integer >= 1 (ValueError), and the
+    (restarts, dim) stack of coefficients a search holds must fit in
+    ``SIZE_CAP`` entries (StateTooLarge).
     """
+    restarts = check_int(restarts, "restarts")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if restarts * dim > SIZE_CAP:
         raise StateTooLarge(
             f"restarts x dimension = {restarts} x {dim} exceeds cap {SIZE_CAP}"
         )
+    return restarts
 
 
 def as_rng(seed):
@@ -134,6 +136,17 @@ class StateVector:
         return self.amplitudes.reshape(self.factor_dims)
 
 
+def unit_rows(amps) -> np.ndarray:
+    """``StateVector``'s check on every row of an (S, total) amplitude
+    stack: each row's norm must be 1 within ``NORM_ATOL``, and the rows
+    are returned divided by it."""
+    norms = np.linalg.norm(amps, axis=-1, keepdims=True)
+    off = ~(np.abs(norms - 1.0) <= NORM_ATOL)
+    if off.any():
+        raise ValueError(f"state norm {norms[off][0]} is not 1 within {NORM_ATOL}")
+    return amps / norms
+
+
 def basis_state(factor_dims, indices) -> StateVector:
     """Product basis vector |j1 ... jn> for the given per-factor indices."""
     dims = check_dims(factor_dims)
@@ -182,20 +195,29 @@ def haar_unitary(dim, seed) -> np.ndarray:
         raise ValueError("dim must be >= 1")
     rng = as_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return haar_from_ginibre(z)
+
+
+def haar_from_ginibre(z) -> np.ndarray:
+    """Haar unitaries from a (..., d, d) stack of complex Ginibre matrices:
+    the Q of each QR, its columns rephased by the R diagonal."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _orthonormal_columns(b) -> bool:
-    """Whether the columns of the 2-D array ``b`` are orthonormal within
-    ``UNITARY_ATOL``."""
-    return bool(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= UNITARY_ATOL)
+    """Whether the columns of every matrix in the (..., n, k) stack ``b``
+    are orthonormal within ``UNITARY_ATOL``."""
+    gram = b.conj().swapaxes(-1, -2) @ b
+    return bool(np.abs(gram - np.eye(b.shape[-1])).max() <= UNITARY_ATOL)
 
 
 def is_unitary(u) -> bool:
+    """Whether ``u`` is a unitary matrix, or a (..., d, d) stack of them,
+    within ``UNITARY_ATOL``."""
     u = np.asarray(u)
-    return u.ndim == 2 and u.shape[0] == u.shape[1] and _orthonormal_columns(u)
+    return u.ndim >= 2 and u.shape[-1] == u.shape[-2] and _orthonormal_columns(u)
 
 
 def apply_unitary(state: StateVector, u) -> StateVector:
@@ -232,8 +254,7 @@ def complete_basis(columns, seed) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis.
 
     The completion is random but deterministic in the seed: fresh Gaussian
-    columns are projected off the given ones (twice, which is enough in
-    double precision) and orthonormalized by QR.
+    columns (``complete_columns``) fill the space the given ones leave.
     """
     cols = np.asarray(columns, dtype=np.complex128)
     dim, r = cols.shape
@@ -245,10 +266,20 @@ def complete_basis(columns, seed) -> np.ndarray:
     extra = rng.standard_normal((dim, dim - r)) + 1j * rng.standard_normal(
         (dim, dim - r)
     )
+    return complete_columns(cols, extra)
+
+
+def complete_columns(cols, extra) -> np.ndarray:
+    """Full bases from a (..., dim, r) stack of orthonormal columns and a
+    (..., dim, dim - r) stack of complex Gaussian ones: the Gaussian
+    columns are projected off the given ones (twice, which is enough in
+    double precision), orthonormalized by QR and appended."""
+    if extra.shape[-1] == 0:
+        return cols.copy()
     for _ in range(2):
-        extra -= cols @ (cols.conj().T @ extra)
+        extra = extra - cols @ (cols.conj().swapaxes(-1, -2) @ extra)
     q, _ = np.linalg.qr(extra)
-    return np.hstack([cols, q])
+    return np.concatenate([cols, q], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -277,14 +308,7 @@ class SchmidtForm:
             raise ValueError("at least one weight required")
         if left.shape != (dims[0], r) or right.shape != (dims[1], r):
             raise DimensionMismatch("basis shapes do not match weights and dims")
-        if w.min() <= 0.0:
-            raise ValueError("weights must be positive")
-        if np.any(np.diff(w) > NORM_ATOL):
-            raise ValueError("weights must be sorted in descending order")
-        if abs(w.sum() - 1.0) > NORM_ATOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1 within {NORM_ATOL}")
-        if not (_orthonormal_columns(left) and _orthonormal_columns(right)):
-            raise ValueError("basis columns are not orthonormal")
+        check_schmidt_parts(w, left, right)
         for name, arr in (("weights", w), ("left_basis", left), ("right_basis", right)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -296,8 +320,33 @@ class SchmidtForm:
 
     def reconstruct(self) -> StateVector:
         """Reassemble the state this form decomposes."""
-        m = (self.left_basis * np.sqrt(self.weights)) @ self.right_basis.T
+        m = schmidt_matrices(self.weights, self.left_basis, self.right_basis)
         return StateVector(self.factor_dims, m.reshape(-1))
+
+
+def check_schmidt_parts(weights, left, right) -> None:
+    """``SchmidtForm``'s checks on one form or a stack of forms of one
+    rank: weights (..., r) positive, descending within ``NORM_ATOL`` and
+    summing to 1 within it; the columns of left (..., d1, r) and right
+    (..., d2, r) orthonormal. Raises ValueError."""
+    if weights.min() <= 0.0:
+        raise ValueError("weights must be positive")
+    if np.any(np.diff(weights, axis=-1) > NORM_ATOL):
+        raise ValueError("weights must be sorted in descending order")
+    sums = weights.sum(axis=-1)
+    off = abs(sums - 1.0) > NORM_ATOL
+    if off.any():
+        raise ValueError(
+            f"weights sum to {np.asarray(sums)[off].flat[0]}, not 1 within {NORM_ATOL}"
+        )
+    if not (_orthonormal_columns(left) and _orthonormal_columns(right)):
+        raise ValueError("basis columns are not orthonormal")
+
+
+def schmidt_matrices(weights, left, right) -> np.ndarray:
+    """Coefficient matrix sum_l sqrt(w_l) left_l right_l^T of one form, or
+    of each form in a stack (weights (..., r), bases (..., d, r))."""
+    return (left * np.sqrt(weights)[..., None, :]) @ right.swapaxes(-1, -2)
 
 
 def schmidt(state: StateVector) -> SchmidtForm:
@@ -311,16 +360,26 @@ def schmidt(state: StateVector) -> SchmidtForm:
     if state.num_factors != 2:
         raise NotBipartite(f"state has {state.num_factors} factors, need 2")
     d1, d2 = state.factor_dims
-    m = state.amplitudes.reshape(d1, d2)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    w = s.astype(float) ** 2
+    w, left, right, rank = schmidt_parts(state.amplitudes.reshape(d1, d2))
+    return SchmidtForm((d1, d2), w[:rank], left[:, :rank], right[:, :rank])
+
+
+def schmidt_parts(coeffs):
+    """``schmidt``'s decomposition of one (d1, d2) coefficient matrix, or
+    of each in a (..., d1, d2) stack, before it is cut to its rank.
+
+    Returns (weights, left, right, rank). With k = min(d1, d2), weights
+    (..., k) descend; those at or below ``WEIGHT_CUTOFF`` are set to 0 and
+    the kept ones rescaled to sum to 1. left (..., d1, k) and right
+    (..., d2, k) hold the matching columns, and rank (...) counts the kept
+    weights, which lead.
+    """
+    u, s, vh = np.linalg.svd(coeffs, full_matrices=False)
+    w = s**2
     keep = w > WEIGHT_CUTOFF
-    if not keep.any():  # normalized input always has a dominant weight
-        keep[0] = True
-    return SchmidtForm(
-        factor_dims=(d1, d2),
-        weights=w[keep] / w[keep].sum(),
-        left_basis=u[:, keep],
-        # SVD rows of vh are the right vectors; transpose without conjugating
-        right_basis=vh[keep].T,
-    )
+    # a normalized input always has a dominant weight
+    keep[..., 0] = True
+    w = np.where(keep, w, 0.0)
+    w /= w.sum(axis=-1, keepdims=True)
+    # SVD rows of vh are the right vectors; transpose without conjugating
+    return w, u, vh.swapaxes(-1, -2), keep.sum(axis=-1)

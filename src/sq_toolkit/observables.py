@@ -24,7 +24,7 @@ from .linalg import (
     haar_unitary,
     is_unitary,
 )
-from .schemes import shannon_entropy
+from .schemes import shannon_entropies
 from .tolerances import DEGENERACY_ATOL
 
 
@@ -72,7 +72,8 @@ class PointObservable:
     @property
     def is_simple(self) -> bool:
         """All eigenvalues pairwise separated by more than DEGENERACY_ATOL."""
-        return len(self.outcome_classes()) == self.dim
+        # every column leads its own outcome class
+        return bool(outcome_pools(self.eigenvalues).trace() == self.dim)
 
     def outcome_classes(self) -> list[list[int]]:
         """Column indices grouped by eigenvalue, one group per outcome.
@@ -81,17 +82,8 @@ class PointObservable:
         of first appearance; for a simple observable every group is a
         singleton.
         """
-        classes: list[list[int]] = []
-        reps: list[float] = []
-        for i, v in enumerate(self.eigenvalues):
-            for cls, rep in zip(classes, reps):
-                if abs(v - rep) <= DEGENERACY_ATOL:
-                    cls.append(i)
-                    break
-            else:
-                classes.append([i])
-                reps.append(float(v))
-        return classes
+        pools = outcome_pools(self.eigenvalues)
+        return [np.flatnonzero(row).tolist() for row in pools if row.any()]
 
     @classmethod
     def computational(cls, dim) -> "PointObservable":
@@ -141,14 +133,42 @@ class ProductObservable:
         return cls(tuple(PointObservable.random_simple(d, rng) for d in factor_dims))
 
 
-def _pool_matrix(classes, d):
-    """0/1 matrix summing each outcome class, or None if all are singletons."""
-    if len(classes) == d:
-        return None
-    pool = np.zeros((len(classes), d))
-    for row, members in enumerate(classes):
-        pool[row, members] = 1.0
-    return pool
+def outcome_pools(eigenvalues) -> np.ndarray:
+    """0/1 matrices that pool the outcomes of one observable, or of each in
+    a stack: eigenvalues (..., d) give pools (..., d, d).
+
+    Row i sums the columns of the outcome class whose first member is
+    column i, and is 0 where column i joined an earlier class. A column
+    joins the first earlier class whose first member's value is within
+    ``DEGENERACY_ATOL`` of its own.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
+    d = vals.shape[-1]
+    close = np.abs(vals[..., :, None] - vals[..., None, :]) <= DEGENERACY_ATOL
+    if np.count_nonzero(close) == vals.size:
+        # no two values within tolerance: close is the identity pattern
+        return close.astype(float)
+    # column j leads a class when no earlier lead is within tolerance of it
+    leads = np.ones(vals.shape, dtype=bool)
+    for j in range(1, d):
+        leads[..., j] = ~(close[..., :j, j] & leads[..., :j]).any(axis=-1)
+    first = (close & leads[..., :, None]).argmax(axis=-2)
+    return (first[..., None, :] == np.arange(d)[:, None]).astype(float)
+
+
+def measurement_entropies(amplitudes, bases, pools, dims) -> np.ndarray:
+    """``measurement_entropy`` of each state of an (S, total) stack.
+
+    Per factor, ``bases[k]`` is the eigenbasis measured, (d, d) or
+    (S, d, d) for one per state, or None for the standard basis, and
+    ``pools[k]`` sums the probabilities of each outcome, (c, d) or
+    (S, c, d), or None when every outcome is its own. Both act through
+    ``apply_per_factor``. Returns the (S,) entropies in nats.
+    """
+    adjoints = [None if b is None else b.conj().swapaxes(-1, -2) for b in bases]
+    coeff = apply_per_factor(adjoints, amplitudes, dims)
+    probs = coeff.real**2 + coeff.imag**2
+    return shannon_entropies(apply_per_factor(pools, probs, dims))
 
 
 def measurement_entropy(state: StateVector, obs: ProductObservable) -> float:
@@ -158,9 +178,6 @@ def measurement_entropy(state: StateVector, obs: ProductObservable) -> float:
     dims = state.factor_dims
     if dims != obs.factor_dims:
         raise DimensionMismatch(f"state factors {dims} vs observable {obs.factor_dims}")
-    coeff = apply_per_factor(
-        [f.eigenbasis.conj().T for f in obs.factors], state.amplitudes[None], dims
-    )
-    probs = coeff.real**2 + coeff.imag**2
-    pools = [_pool_matrix(f.outcome_classes(), d) for f, d in zip(obs.factors, dims)]
-    return shannon_entropy(apply_per_factor(pools, probs, dims))
+    bases = [f.eigenbasis for f in obs.factors]
+    pools = [outcome_pools(f.eigenvalues) for f in obs.factors]
+    return float(measurement_entropies(state.amplitudes[None], bases, pools, dims)[0])

@@ -292,7 +292,7 @@ def gas_run(
             f"model acts on dims ({model.d1}, {model.d2}), gas particles have dim {d}"
         )
     # up front: a run whose groups stay small never reaches sq_search
-    check_restarts(restarts, d**n)
+    restarts = check_restarts(restarts, d**n)
     rng = np.random.default_rng(seed)
     # group_of[p] is particle p's group; every particle starts alone
     group_of = [

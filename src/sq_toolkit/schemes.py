@@ -23,8 +23,18 @@ def shannon_entropy(weights) -> float:
     a negative entropy, and -0.0 never reaches a report.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    w = w[w > 0.0]
-    return max(0.0, float(-(w * np.log(w)).sum()))
+    # summing the positive terms alone fixes their order of addition
+    return float(shannon_entropies(w[w > 0.0]))
+
+
+def shannon_entropies(weights) -> np.ndarray:
+    """``shannon_entropy`` of each row of a (..., n) stack of weights;
+    weights that are not positive add nothing."""
+    w = np.asarray(weights, dtype=float)
+    # such a weight becomes 1, whose term 1 ln 1 is 0
+    w = np.where(w > 0.0, w, 1.0)
+    h = -(w * np.log(w)).sum(axis=-1)
+    return np.where(h > 0.0, h, 0.0)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .linalg import (
     StateVector,
     apply_per_factor,
     as_rng,
+    check_int,
     check_restarts,
     complete_basis,
     haar_unitary,
@@ -281,9 +282,12 @@ def sq_search(
     converges once its step is at ``STEP_FLOOR`` and a sweep gains less
     than ``STOP_GAIN``. On bipartite states the estimate matches
     ``sq_bipartite`` to the test tolerances. ``restarts`` goes through
-    ``check_restarts``, which caps the (restarts, dim) coefficient stack.
+    ``check_restarts``, which caps the (restarts, dim) coefficient stack;
+    it, ``max_iters`` and ``seed`` must be integers.
     """
-    check_restarts(restarts, state.dim)
+    restarts = check_restarts(restarts, state.dim)
+    max_iters = check_int(max_iters, "max_iters")
+    seed = check_int(seed, "seed")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if seed < 0:
@@ -318,10 +322,17 @@ def degenerate_orbit(form: SchmidtForm, u, start: int = 0) -> SchmidtForm:
     the right block by its complex conjugate, so the represented state is
     unchanged.
     """
+    return SchmidtForm(form.factor_dims, form.weights, *orbit_bases(form, u, start))
+
+
+def orbit_bases(form: SchmidtForm, u, start: int = 0):
+    """``degenerate_orbit``'s left and right bases, with its checks, for
+    one k x k unitary or for each of a (..., k, k) stack: bases of shape
+    (..., d, rank)."""
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise DimensionMismatch("u must be square")
-    k = u.shape[0]
+    k = u.shape[-1]
     if not 0 <= start <= form.rank - k:
         raise DimensionMismatch(
             f"block [{start}, {start + k}) outside rank {form.rank}"
@@ -334,11 +345,12 @@ def degenerate_orbit(form: SchmidtForm, u, start: int = 0) -> SchmidtForm:
         raise NotDegenerate(
             f"weights {w} differ by more than {DEGENERACY_ATOL}"
         )
-    left = np.array(form.left_basis, copy=True)
-    right = np.array(form.right_basis, copy=True)
-    left[:, block] = left[:, block] @ u
-    right[:, block] = right[:, block] @ u.conj()
-    return SchmidtForm(form.factor_dims, form.weights, left, right)
+    stack = u.shape[:-2]
+    left = np.broadcast_to(form.left_basis, stack + form.left_basis.shape).copy()
+    right = np.broadcast_to(form.right_basis, stack + form.right_basis.shape).copy()
+    left[..., block] = left[..., block] @ u
+    right[..., block] = right[..., block] @ u.conj()
+    return left, right
 
 
 def convexity_gap(state: StateVector, c: PointObservable) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LN2, bell_state, ghz_state
-from sq_toolkit import verify
+from sq_toolkit import cli, verify
 from sq_toolkit.cli import (
     ConfigError,
     _json_text,
@@ -221,6 +221,22 @@ def test_verify_violation_exits_one(tmp_path, capsys, monkeypatch):
     code, report = run_json(capsys, ["verify", "--config", cfg])
     assert code == 1
     assert report["passed"] is False
+
+
+def test_parser_built_once_still_parses_after_a_bad_argv(tmp_path, capsys):
+    """One parser serves every call in a process: a call that exits 2 on
+    its argv leaves the next call's report as a fresh process prints it."""
+    cfg = write_config(tmp_path, {"samples": 5, "dims": [3, 4]})
+    assert main(["verify", "--seed", "one"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "sq_toolkit", "verify", "--config", cfg],
+        capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_scatter_free_coupling_stays_flat(tmp_path, capsys):

@@ -28,6 +28,7 @@ from sq_toolkit.scattering import (
     entropy_trajectory,
     gas_run,
 )
+from sq_toolkit.sq import sq_search
 from sq_toolkit.verify import run_battery
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -342,6 +343,7 @@ def test_size_policy_caps_joint_dimension_before_allocating():
 
 QUBIT_MODEL = CollisionModel.box(2, 2)
 QUBIT = StateVector((2,), [1.0, 0.0])
+PAIR = random_state((2, 2), 0)
 
 
 @pytest.mark.parametrize(
@@ -364,12 +366,19 @@ QUBIT = StateVector((2,), [1.0, 0.0])
         (lambda v: box_energies(v), 2, 2.9),
         (lambda v: run_battery(samples=v, dims=(2, 2)), 1, 2.9),
         (lambda v: run_battery(samples=1, dims=(v, 3)), 3, 3.5),
+        (lambda v: run_battery(samples=1, seed=v, dims=(2, 2)), 1, 1.5),
+        (lambda v: sq_search(PAIR, restarts=v, max_iters=2), 2, 2.5),
+        (lambda v: sq_search(PAIR, restarts=1, max_iters=v), 2, 2.5),
+        (lambda v: sq_search(PAIR, restarts=1, max_iters=2, seed=v), 1, 1.5),
+        (lambda v: gas_run(3, 2, 3, QUBIT_MODEL, 0, restarts=v), 2, 2.5),
     ],
     ids=[
         "random-state-dims", "string-dim", "bool-dim", "haar-dim", "gas-n",
         "gas-d", "gas-collisions", "trajectory-samples", "interaction-seed",
         "identity-dim", "identity-bool-dim", "computational-dim", "basis-index",
         "schmidt-form-dims", "box-energies-dim", "battery-samples", "battery-dims",
+        "battery-seed", "search-restarts", "search-max-iters", "search-seed",
+        "gas-restarts",
     ],
 )
 def test_sizes_and_counts_must_be_integers(build, good, bad):

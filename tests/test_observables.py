@@ -12,8 +12,10 @@ from sq_toolkit.observables import (
     PointObservable,
     ProductObservable,
     measurement_entropy,
+    outcome_pools,
 )
 from sq_toolkit.schemes import shannon_entropy
+from sq_toolkit.tolerances import DEGENERACY_ATOL
 
 
 def test_point_observable_rejects_skew_basis():
@@ -43,6 +45,37 @@ def test_is_simple_detects_degeneracy():
 def test_outcome_classes_group_by_value():
     obs = PointObservable([1.0, 2.0, 1.0 + 1e-12], np.eye(3))
     assert obs.outcome_classes() == [[0, 2], [1]]
+
+
+def first_member_classes(values):
+    """Outcome classes one value at a time: each joins the first class
+    whose first member is within DEGENERACY_ATOL, else starts its own."""
+    classes = []
+    for i, v in enumerate(values):
+        for members in classes:
+            if abs(v - values[members[0]]) <= DEGENERACY_ATOL:
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+def test_outcome_pools_of_a_stack_follow_the_first_member_rule():
+    rows = [
+        [0.0, 0.6e-9, 1.2e-9, 1.0],  # a chain: the third value starts a class
+        [2.0, 1.0, 2.0, 1.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [5.0, 5.0, 5.0, 5.0],
+        [3.0, 1.0, 3.0 + 1e-12, 7.0],
+    ]
+    pools = outcome_pools(np.array(rows))
+    for values, pool in zip(rows, pools):
+        expected = np.zeros((4, 4))
+        for members in first_member_classes(values):
+            expected[members[0], members] = 1.0
+        np.testing.assert_array_equal(pool, expected)
+        np.testing.assert_array_equal(outcome_pools(values), expected)
 
 
 def test_eigenstate_measured_with_certainty():
